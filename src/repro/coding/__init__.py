@@ -8,8 +8,22 @@
   (x data + y parity) packet blocks and reassembling it.
 """
 
-from repro.coding.gf256 import GF256
-from repro.coding.reed_solomon import ReedSolomon
+from importlib import import_module
+
 from repro.coding.block import BlockCodec, BlockConfig
 
 __all__ = ["GF256", "ReedSolomon", "BlockCodec", "BlockConfig"]
+
+# The field arithmetic needs numpy; the simulator needs only BlockConfig
+# (it tracks blocks combinatorially), so the numpy-backed names load on
+# first access (PEP 562) and importing the simulator stays numpy-free.
+_LAZY = {"GF256": "repro.coding.gf256",
+         "ReedSolomon": "repro.coding.reed_solomon"}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

@@ -27,8 +27,9 @@ distinct positions decode — the MDS property).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.coding.block import BlockConfig
 from repro.sim.engine import EventHandle, Simulator
@@ -39,6 +40,7 @@ from repro.transport.base import (
     Receiver,
     Sender,
 )
+from repro.transport.watermark import WatermarkSet
 
 BLOCK_COMPLETE_SEQ = -2  # control-ACK sentinel sequence
 _ACK_SIZE = 64
@@ -63,15 +65,15 @@ class UnoRCSender(Sender):
     def __init__(self, *args, rc: UnoRCConfig = UnoRCConfig(), **kwargs):
         self.rc = rc
         super().__init__(*args, **kwargs)
-        # Block state is lazy (dicts/sets keyed by block id): a 64 GiB
-        # flow has millions of blocks and preallocating per-block arrays
-        # dominates setup time.
+        # Block state is lazy and bounded by the blocks in flight (a dict
+        # of open blocks, watermark sets of finished ones): a 64 GiB flow
+        # has millions of blocks, so neither preallocated per-block arrays
+        # nor a record of every finished block is affordable.
         self.n_blocks = rc.block.n_blocks(self.total_data_pkts)
         self._block_data_acked: Dict[int, int] = {}
-        self._block_complete: Set[int] = set()
-        self._blocks_completed = 0
-        self._parity_queue: List[int] = []
-        self._parity_enqueued: Set[int] = set()
+        self._block_complete = WatermarkSet()
+        self._parity_queue: deque[int] = deque()
+        self._parity_enqueued = WatermarkSet()
 
     # -- sequence layout ---------------------------------------------------
 
@@ -100,9 +102,9 @@ class UnoRCSender(Sender):
             y = self.rc.block.parity_pkts
             if (
                 y > 0
-                and b not in self._parity_enqueued
                 and pkt.retx == 0
                 and pkt.block_pos == self.block_data_n(b) - 1
+                and b not in self._parity_enqueued
             ):
                 self._parity_enqueued.add(b)
                 base = self.parity_base(b)
@@ -120,7 +122,7 @@ class UnoRCSender(Sender):
         return self._parity_queue[0] if self._parity_queue else None
 
     def _pop_parity(self) -> int:
-        return self._parity_queue.pop(0)
+        return self._parity_queue.popleft()
 
     # -- block completion ------------------------------------------------------
 
@@ -145,7 +147,6 @@ class UnoRCSender(Sender):
             return
         self._block_complete.add(b)
         self._block_data_acked.pop(b, None)
-        self._blocks_completed += 1
         if self._obs is not None:
             self._obs.metrics.counter("ec.blocks_completed").inc()
         # Retire every unacked sequence of the block: the data is proven
@@ -167,7 +168,7 @@ class UnoRCSender(Sender):
                     self.inflight_bytes -= sent.payload
 
     def _all_delivered(self) -> bool:
-        return self._blocks_completed >= self.n_blocks
+        return self._block_complete.floor >= self.n_blocks
 
     # -- NACK handling ------------------------------------------------------------
 
@@ -211,7 +212,7 @@ class UnoRCReceiver(Receiver):
         self._timeout_ps = rc.block_timeout_ps
         self._total_data_pkts: Optional[int] = None
         self._positions: Dict[int, Set[int]] = {}
-        self._complete: Set[int] = set()
+        self._complete = WatermarkSet()
         self._timers: Dict[int, EventHandle] = {}
         self._nack_counts: Dict[int, int] = {}
         self.nacks_sent = 0
@@ -265,6 +266,7 @@ class UnoRCReceiver(Receiver):
         timer = self._timers.pop(b, None)
         if timer is not None:
             timer.cancel()
+        self._nack_counts.pop(b, None)
         missing_data = [p for p in range(need) if p not in positions]
         del self._positions[b]
         if missing_data:

@@ -13,16 +13,6 @@ DESIGN.md "Performance"). Off by default; enable process-wide with
 which overwrites every field of a released packet with a sentinel and
 verifies the poison on reuse — a use-after-free or double-release then
 fails loudly instead of corrupting a simulation.
-
-``REPRO_PACKET_POOL=soa`` selects the struct-of-arrays backend
-(:class:`SoAPacketStore` / :class:`SoAPacketPool`): packet fields live in
-numpy columns and :class:`SoAPacket` is a slotted per-packet *view*
-(store + row index) with the exact attribute surface of
-:class:`Packet`, so the transport layer is oblivious to the layout. The
-pool-release discipline is what makes this safe: a released row is free
-for reuse precisely because release points already prove no alias
-remains. Requires numpy; without it the mode falls back to the plain
-free-list pool.
 """
 
 from __future__ import annotations
@@ -205,241 +195,14 @@ class PacketPool:
         }
 
 
-# -- struct-of-arrays backend (REPRO_PACKET_POOL=soa) ----------------------
-
-try:  # gated: the simulator itself has no hard numpy dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
-
-# Column layout. OPT columns encode None as -1 (block ids are >= 0).
-_SOA_INT_COLS = (
-    "kind", "flow_id", "src", "dst", "sport", "dport", "seq", "size",
-    "payload", "sent_ps", "echo_sent_ps", "block_pos", "retx", "hops",
-)
-_SOA_OPT_COLS = ("block_id", "nack_block")
-_SOA_BOOL_COLS = ("ecn", "ecn_echo")
-_SOA_ALL_COLS = _SOA_INT_COLS + _SOA_OPT_COLS + _SOA_BOOL_COLS + ("int_util",)
-
-
-class SoAPacketStore:
-    """Columnar packet storage: one ndarray per Packet field, one row per
-    live packet. Rows are handed out by :class:`SoAPacketPool`; growth
-    doubles every column in place on the store object, so outstanding
-    views (which hold ``(store, row)``, never an array) stay valid."""
-
-    __slots__ = _SOA_ALL_COLS + ("capacity", "used")
-
-    def __init__(self, capacity: int = 256):
-        if _np is None:  # pragma: no cover
-            raise RuntimeError("SoA packet backend requires numpy")
-        self.capacity = capacity
-        self.used = 0
-        zeros = _np.zeros
-        for col in _SOA_INT_COLS + _SOA_OPT_COLS:
-            setattr(self, col, zeros(capacity, dtype=_np.int64))
-        for col in _SOA_BOOL_COLS:
-            setattr(self, col, zeros(capacity, dtype=bool))
-        self.int_util = zeros(capacity, dtype=_np.float64)
-
-    def alloc_row(self) -> int:
-        i = self.used
-        if i == self.capacity:
-            cap = self.capacity * 2
-            for col in _SOA_ALL_COLS:
-                old = getattr(self, col)
-                arr = _np.zeros(cap, dtype=old.dtype)
-                arr[: self.capacity] = old
-                setattr(self, col, arr)
-            self.capacity = cap
-        self.used = i + 1
-        return i
-
-
-class SoAPacket:
-    """Slotted per-packet view over one :class:`SoAPacketStore` row.
-
-    Presents the exact attribute surface of :class:`Packet` (fields are
-    generated properties installed below), so transports, queues, and
-    switches are oblivious to the columnar layout. Getters convert to
-    native Python scalars: numpy int64 deliberately never escapes —
-    ECMP's 64-bit hash mixing masks with ``2**64 - 1``, which overflows
-    a fixed-width numpy integer."""
-
-    __slots__ = ("_s", "_i")
-
-    def __init__(self, store: SoAPacketStore, index: int):
-        self._s = store
-        self._i = index
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<{_KIND_NAMES.get(self.kind, '?')} flow={self.flow_id} "
-            f"seq={self.seq} {self.src}->{self.dst} sport={self.sport} "
-            f"size={self.size} ecn={self.ecn} row={self._i}>"
-        )
-
-
-def _install_soa_fields() -> None:
-    def int_field(col: str):
-        def fget(self):
-            return int(getattr(self._s, col)[self._i])
-
-        def fset(self, value):
-            getattr(self._s, col)[self._i] = value
-
-        return property(fget, fset)
-
-    def opt_field(col: str):
-        def fget(self):
-            v = int(getattr(self._s, col)[self._i])
-            return None if v < 0 else v
-
-        def fset(self, value):
-            getattr(self._s, col)[self._i] = -1 if value is None else value
-
-        return property(fget, fset)
-
-    def bool_field(col: str):
-        def fget(self):
-            return bool(getattr(self._s, col)[self._i])
-
-        def fset(self, value):
-            getattr(self._s, col)[self._i] = value
-
-        return property(fget, fset)
-
-    def float_field(col: str):
-        def fget(self):
-            return float(getattr(self._s, col)[self._i])
-
-        def fset(self, value):
-            getattr(self._s, col)[self._i] = value
-
-        return property(fget, fset)
-
-    for col in _SOA_INT_COLS:
-        setattr(SoAPacket, col, int_field(col))
-    for col in _SOA_OPT_COLS:
-        setattr(SoAPacket, col, opt_field(col))
-    for col in _SOA_BOOL_COLS:
-        setattr(SoAPacket, col, bool_field(col))
-    SoAPacket.int_util = float_field("int_util")
-
-
-_install_soa_fields()
-
-
-class SoAPacketPool:
-    """Row allocator over a :class:`SoAPacketStore`, with the same
-    acquire/release/stats interface as :class:`PacketPool`.
-
-    The free list holds *views* (not row indices), so steady-state
-    traffic recycles both the row and its SoAPacket wrapper with zero
-    allocation. The pool-release discipline of the free-list pool is
-    what makes row reuse safe; ``kind`` doubles as the double-release
-    marker exactly as in :class:`PacketPool`. Control packets built as
-    plain :class:`Packet` records (CNP/NACK/PAUSE/RESUME factories)
-    reach :meth:`release` through the endpoint dispatch path — they own
-    no row, so they are dropped, not recycled.
-    """
-
-    POISON = PacketPool.POISON
-
-    __slots__ = ("store", "poison", "max_free", "_free", "allocated",
-                 "recycled", "released")
-
-    def __init__(self, capacity: int = 256, max_free: int = 65536):
-        self.store = SoAPacketStore(capacity)
-        self.poison = False  # stats-surface parity with PacketPool
-        self.max_free = max_free
-        self._free: List[SoAPacket] = []
-        self.allocated = 0  # fresh rows claimed from the store
-        self.recycled = 0   # acquires served from the free list
-        self.released = 0
-
-    def acquire(
-        self,
-        kind: int,
-        flow_id: int,
-        src: int,
-        dst: int,
-        seq: int,
-        size: int,
-        sport: int = 0,
-        dport: int = 0,
-        payload: int = 0,
-    ) -> SoAPacket:
-        free = self._free
-        if free:
-            pkt = free.pop()
-            self.recycled += 1
-        else:
-            store = self.store
-            pkt = SoAPacket(store, store.alloc_row())
-            self.allocated += 1
-        s = pkt._s
-        i = pkt._i
-        s.kind[i] = kind
-        s.flow_id[i] = flow_id
-        s.src[i] = src
-        s.dst[i] = dst
-        s.sport[i] = sport
-        s.dport[i] = dport
-        s.seq[i] = seq
-        s.size[i] = size
-        s.payload[i] = payload
-        s.ecn[i] = False
-        s.sent_ps[i] = 0
-        s.echo_sent_ps[i] = 0
-        s.ecn_echo[i] = False
-        s.block_id[i] = -1
-        s.block_pos[i] = 0
-        s.nack_block[i] = -1
-        s.retx[i] = 0
-        s.hops[i] = 0
-        s.int_util[i] = 0.0
-        return pkt
-
-    def release(self, pkt) -> None:
-        if type(pkt) is not SoAPacket:
-            # A plain Packet from the control-frame factories: no row to
-            # reclaim, the object is simply garbage-collected.
-            return
-        s = pkt._s
-        i = pkt._i
-        if s.kind[i] == self.POISON:
-            raise RuntimeError(f"double release of pooled packet row {i}")
-        if len(self._free) >= self.max_free:
-            return
-        self.released += 1
-        s.kind[i] = self.POISON  # double-release marker
-        self._free.append(pkt)
-
-    def stats(self) -> dict:
-        return {
-            "allocated": self.allocated,
-            "recycled": self.recycled,
-            "released": self.released,
-            "free": len(self._free),
-            "poison": self.poison,
-            "backend": "soa",
-            "capacity": self.store.capacity,
-        }
-
-
 _POOL_MODE = os.environ.get("REPRO_PACKET_POOL", "").strip().lower()
 
 
 def default_pool():
     """A fresh pool per caller (hosts don't share free lists) when
-    REPRO_PACKET_POOL opts in; None — no pooling — otherwise. Mode
-    ``soa`` selects the columnar backend, falling back to the plain
-    free-list pool when numpy is unavailable."""
+    REPRO_PACKET_POOL opts in; None — no pooling — otherwise."""
     if _POOL_MODE in ("", "0", "off", "false", "no"):
         return None
-    if _POOL_MODE == "soa" and _np is not None:
-        return SoAPacketPool()
     return PacketPool(poison=_POOL_MODE == "poison")
 
 

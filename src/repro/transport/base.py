@@ -29,6 +29,7 @@ under :class:`~repro.wire.clock.WallClock` (see :mod:`repro.wire`).
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -43,6 +44,7 @@ from repro.sim.host import Host
 from repro.sim.network import Network
 from repro.sim.packet import ACK, CNP, DATA, NACK, Packet, make_ack
 from repro.sim.units import MS, bdp_bytes, ser_time_ps
+from repro.transport.watermark import WatermarkSet
 
 if TYPE_CHECKING:  # pragma: no cover
     pass
@@ -240,7 +242,6 @@ class Receiver:
         self.flow_id = flow_id
         obs = sim.obs
         self._spans = obs.spans if obs is not None else None
-        self.received_seqs: set[int] = set()
         self.rx_data_pkts = 0
         self.idle_timeout_ps = idle_timeout_ps
         self.idled_out = False
@@ -261,7 +262,6 @@ class Receiver:
             self._idle_handle = self.sim.after(
                 self.idle_timeout_ps, self._idle_check
             )
-        self.received_seqs.add(pkt.seq)
         self.handle_data(pkt)
 
     def handle_data(self, pkt: Packet) -> None:
@@ -345,7 +345,8 @@ class Sender:
         self.bdp_bytes = bdp_bytes(base_rtt_ps, line_gbps)
         self.path = path or FixedEntropy()
         self.on_complete = on_complete
-        self.rng = random.Random(seed ^ (flow_id * 0x9E3779B9))
+        self._rng_seed = seed ^ (flow_id * 0x9E3779B9)
+        self._rng: Optional[random.Random] = None
         self.is_inter_dc = is_inter_dc
 
         # Packetization: ceil(size / mss) packets, last may be short.
@@ -356,8 +357,9 @@ class Sender:
         # Reliability state.
         self.outstanding: Dict[int, Packet] = {}  # seq -> last sent packet
         self.inflight_bytes = 0
-        self.acked_seqs: set[int] = set()
-        self._retx_queue: list[int] = []
+        # Data and parity sequences each compact behind their own floor.
+        self.acked_seqs = WatermarkSet(split=self.total_data_pkts)
+        self._retx_queue: deque[int] = deque()
         self._retx_set: set[int] = set()
         # Sequences declared lost (queued for retransmit): their bytes are
         # retired from inflight until the retransmission goes out.
@@ -446,6 +448,16 @@ class Sender:
         self._maybe_send()
 
     @property
+    def rng(self) -> random.Random:
+        """The flow's private random stream, created on first draw and
+        dropped at the terminal transition: Mersenne state is 2.5 KiB,
+        which launched-but-idle and finished flows should not hold."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._rng_seed)
+        return rng
+
+    @property
     def done(self) -> bool:
         return self._done
 
@@ -487,7 +499,12 @@ class Sender:
         if self._spans is not None:
             self._spans.flow_end(self.flow_id, self.sim.now, "abort",
                                  reason=reason)
+        self._teardown()
+
+    def _teardown(self) -> None:
+        """The part of a terminal transition completion and abort share."""
         self._cancel_timers()
+        self._rng = None
         self.cc.on_done(self)
         self.src.unregister(self.flow_id)
         self.dst.unregister(self.flow_id)
@@ -583,7 +600,7 @@ class Sender:
     def _peek_next(self) -> Optional[int]:
         # Purge retransmission entries that were acked while queued.
         while self._retx_queue and self._retx_queue[0] in self.acked_seqs:
-            self._retx_set.discard(self._retx_queue.pop(0))
+            self._retx_set.discard(self._retx_queue.popleft())
         if self._retx_queue:
             return self._retx_queue[0]
         if self._next_seq < self.total_data_pkts:
@@ -596,7 +613,7 @@ class Sender:
 
     def _pop_next(self) -> int:
         if self._retx_queue:
-            seq = self._retx_queue.pop(0)
+            seq = self._retx_queue.popleft()
             self._retx_set.discard(seq)
             return seq
         if self._next_seq < self.total_data_pkts:
@@ -830,9 +847,7 @@ class Sender:
 
     def _all_delivered(self) -> bool:
         """Every data packet acked. UnoRC overrides with block coverage."""
-        if len(self.acked_seqs) < self.total_data_pkts:
-            return False
-        return all(s in self.acked_seqs for s in range(self.total_data_pkts))
+        return self.acked_seqs.floor >= self.total_data_pkts
 
     def _check_done(self) -> bool:
         if self.terminal or not self._all_delivered():
@@ -850,12 +865,7 @@ class Sender:
             self._spans.flow_end(self.flow_id, self.sim.now, "complete",
                                  fct=self.stats.fct_ps,
                                  retx=self.stats.retransmissions)
-        self._cancel_timers()
-        self.cc.on_done(self)
-        self.src.unregister(self.flow_id)
-        self.dst.unregister(self.flow_id)
-        if self.on_complete is not None:
-            self.on_complete(self)
+        self._teardown()
         return True
 
     # -- convenience -----------------------------------------------------

@@ -27,7 +27,7 @@ from repro.sim import packet as packet_mod
 from repro.sim.engine import Simulator
 from repro.sim.host import Host
 from repro.sim.link import Link
-from repro.sim.packet import ACK, DATA, Packet, PacketPool, SoAPacketPool
+from repro.sim.packet import ACK, DATA, Packet, PacketPool
 from repro.sim.queues import Port
 from repro.sim.units import KIB, US
 from repro.workloads.alibaba_wan import ALIBABA_WAN_CDF
@@ -471,9 +471,6 @@ class TestPacketPool:
         assert isinstance(pool, PacketPool) and not pool.poison
         monkeypatch.setattr(packet_mod, "_POOL_MODE", "poison")
         assert packet_mod.default_pool().poison
-        if packet_mod._np is not None:
-            monkeypatch.setattr(packet_mod, "_POOL_MODE", "soa")
-            assert isinstance(packet_mod.default_pool(), SoAPacketPool)
 
     def test_end_to_end_poison_run_recycles(self):
         """A full dumbbell transfer under poison pooling: completes, and
@@ -509,88 +506,6 @@ class TestPacketPool:
                             queue_bytes=256 * KIB, seed=3)
             for host in list(topo.senders) + list(topo.receivers):
                 host.pool = PacketPool(poison=True) if pooled else None
-            senders = [
-                start_flow(sim, topo.net, DCTCP(), s, r, 256 * KIB,
-                           base_rtt_ps=8 * US, seed=i)
-                for i, (s, r) in enumerate(
-                    zip(topo.senders, topo.receivers))
-            ]
-            sim.run()
-            return [(s.stats.fct_ps, s.stats.retransmissions)
-                    for s in senders]
-
-        assert fcts(pooled=True) == fcts(pooled=False)
-
-
-# ----------------------------------------------------------------------
-# struct-of-arrays packet backend
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.skipif(packet_mod._np is None, reason="numpy unavailable")
-class TestSoAPacketPool:
-    def test_view_round_trips_every_field(self):
-        pool = SoAPacketPool(capacity=2)
-        pkt = pool.acquire(DATA, 7, src=1, dst=2, seq=3, size=1500,
-                           sport=4, dport=5, payload=1400)
-        assert (pkt.kind, pkt.flow_id, pkt.src, pkt.dst, pkt.sport,
-                pkt.dport, pkt.seq, pkt.size, pkt.payload) == (
-            DATA, 7, 1, 2, 4, 5, 3, 1500, 1400)
-        assert pkt.block_id is None and pkt.nack_block is None
-        pkt.ecn = True
-        pkt.hops += 2
-        pkt.block_id = 9
-        pkt.int_util = 0.5
-        assert pkt.ecn is True and pkt.hops == 2 and pkt.block_id == 9
-        # Native Python scalars only: a leaked numpy int64 overflows the
-        # 64-bit masking in the ECMP hash.
-        assert type(pkt.seq) is int and type(pkt.ecn) is bool
-        assert type(pkt.int_util) is float
-
-    def test_store_growth_keeps_views_valid(self):
-        pool = SoAPacketPool(capacity=2)
-        pkts = [pool.acquire(DATA, i, src=0, dst=1, seq=i, size=100)
-                for i in range(20)]
-        assert pool.store.capacity >= 20
-        assert [p.flow_id for p in pkts] == list(range(20))
-
-    def test_release_recycles_row_and_view(self):
-        pool = SoAPacketPool()
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pkt.ecn = True
-        pkt.block_id = 4
-        pool.release(pkt)
-        again = pool.acquire(ACK, 1, src=3, dst=2, seq=0, size=64)
-        assert again is pkt  # wrapper AND row recycled
-        assert again.kind == ACK and again.ecn is False
-        assert again.block_id is None
-        assert pool.stats()["recycled"] == 1
-
-    def test_double_release_raises(self):
-        pool = SoAPacketPool()
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pool.release(pkt)
-        with pytest.raises(RuntimeError, match="double release"):
-            pool.release(pkt)
-
-    def test_release_ignores_plain_control_packets(self):
-        from repro.sim.packet import make_cnp
-
-        pool = SoAPacketPool()
-        pool.release(make_cnp(1, 2, 3))  # no row to reclaim: dropped
-        assert pool.stats()["released"] == 0
-
-    def test_pooled_results_match_unpooled(self):
-        from repro.topology.simple import dumbbell
-        from repro.transport.dctcp import DCTCP
-        from repro.transport.base import start_flow
-
-        def fcts(pooled: bool):
-            sim = Simulator()
-            topo = dumbbell(sim, n_pairs=2, gbps=25.0, prop_ps=1 * US,
-                            queue_bytes=256 * KIB, seed=3)
-            for host in list(topo.senders) + list(topo.receivers):
-                host.pool = SoAPacketPool() if pooled else None
             senders = [
                 start_flow(sim, topo.net, DCTCP(), s, r, 256 * KIB,
                            base_rtt_ps=8 * US, seed=i)

@@ -44,9 +44,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))  # repro package
 
 from benchmarks.perf import scenarios as S  # noqa: E402
 
-# Recorded per run and used for per-mode baseline floors: the SoA packet
-# backend trades per-field access cost for columnar storage, so its
-# events/sec floor differs from the pool-off one.
+# Recorded per run, so a record says which packet path it measured.
 POOL_MODE = os.environ.get("REPRO_PACKET_POOL", "").strip().lower() or "off"
 
 
@@ -101,9 +99,7 @@ def check_baseline(results: list[dict], baseline_path: Path,
     failures = 0
     for rec in results:
         name = rec["name"]
-        # A mode-specific floor ("fattree_perm@soa") outranks the plain
-        # one: pool backends have different expected rates.
-        base = baseline.get(f"{name}@{POOL_MODE}") or baseline.get(name)
+        base = baseline.get(name)
         if not base or name not in S.CORE_SCENARIOS:
             continue
         floor = base["events_per_sec"] * (1.0 - tolerance)

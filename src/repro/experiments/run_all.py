@@ -87,6 +87,65 @@ def _open_stream(args, out: Path, campaign: str,
     stream.campaign_start(total, campaign=campaign, out=str(out))
     return stream
 
+
+def _run_point_set(args, out: Path, cache: ResultCache, campaign: str,
+                   points) -> list:
+    """One runner pass over ``points`` — streamed to the campaign log
+    and followed by the telemetry dump under ``--telemetry`` — returning
+    the records."""
+    stream = _open_stream(args, out, campaign, len(points))
+    try:
+        records = run_points(
+            points, jobs=args.jobs, cache=cache, resume=args.resume,
+            timeout_s=args.timeout, progress=True, telemetry=args.telemetry,
+            retries=args.retries, stream=stream,
+        )
+        if stream is not None:
+            stream.campaign_end(len(records), len(failures(records)))
+    finally:
+        if stream is not None:
+            stream.close()
+    if args.telemetry:
+        write_telemetry(out / "telemetry", records, cache)
+    return records
+
+
+def _print_failed(label: str, failed) -> None:
+    for r in failed:
+        info = r.error or {}
+        print(f"[{label} FAILED: {r.point.id} {r.status}: "
+              f"{info.get('type', '?')}: {info.get('message', '')}]",
+              file=sys.stderr)
+
+
+def _write_summary(out: Path, name: str, res) -> None:
+    summaries_dir = out / "summaries"
+    summaries_dir.mkdir(parents=True, exist_ok=True)
+    (summaries_dir / f"{name}.json").write_text(_summary_json(res) + "\n")
+
+
+def _run_campaign(args, out: Path, cache: ResultCache, module, name: str,
+                  points, gate, **extra) -> None:
+    """The body chaos and wire campaigns share: run ``points``, summarize
+    the ones that succeeded with ``module``, write
+    ``<out>/summaries/<kind>-<name>.json`` (``extra`` keys recorded next
+    to the campaign name) and exit non-zero when any point failed or
+    ``gate(summary)`` is false."""
+    kind = module.EXPERIMENT
+    records = _run_point_set(args, out, cache, f"{kind}-{name}", points)
+    failed = failures(records)
+    _print_failed(kind, failed)
+    ok = [r for r in records if r.ok]
+    res = module.summarize(results_by_name(ok, experiment=kind))
+    res.update(extra, campaign=name, n_failed_points=len(failed))
+    module.report(res)
+    _write_summary(out, f"{kind}-{name}", res)
+    elapsed = sum(r.elapsed_s for r in records)
+    print(f"[{kind} {name} done in {elapsed:.1f}s]")
+    if failed or not gate(res):
+        raise SystemExit(1)
+
+
 ALL = list(EXPERIMENTS)
 
 
@@ -184,39 +243,18 @@ def main(argv: Optional[List[str]] = None) -> None:
     modules = {name: experiment_module(name) for name in targets}
     points = [p for name in targets
               for p in modules[name].points(quick, seed=args.seed)]
-    stream = _open_stream(args, out, "experiments", len(points))
-    try:
-        records = run_points(
-            points, jobs=args.jobs, cache=cache, resume=args.resume,
-            timeout_s=args.timeout, progress=True, telemetry=args.telemetry,
-            retries=args.retries, stream=stream,
-        )
-        if stream is not None:
-            stream.campaign_end(len(records), len(failures(records)))
-    finally:
-        if stream is not None:
-            stream.close()
+    records = _run_point_set(args, out, cache, "experiments", points)
 
-    if args.telemetry:
-        write_telemetry(out / "telemetry", records, cache)
-
-    summaries_dir = out / "summaries"
-    summaries_dir.mkdir(parents=True, exist_ok=True)
     for name in targets:
         module = modules[name]
         per = [r for r in records if r.point.experiment == name]
         failed = failures(per)
         if failed:
-            for r in failed:
-                info = r.error or {}
-                print(f"[{name} FAILED: {r.point.id} {r.status}: "
-                      f"{info.get('type', '?')}: {info.get('message', '')}]",
-                      file=sys.stderr)
+            _print_failed(name, failed)
             continue
         res = module.summarize(results_by_name(per, experiment=name))
         module.report(res)
-        (summaries_dir / f"{name}.json").write_text(
-            _summary_json(res) + "\n")
+        _write_summary(out, name, res)
         elapsed = sum(r.elapsed_s for r in per)
         print(f"[{name} done in {elapsed:.1f}s]")
 
@@ -242,44 +280,13 @@ def run_chaos_campaign(args, parser, quick: bool, out: Path,
         )
     except ValueError as exc:
         parser.error(str(exc))
-    stream = _open_stream(args, out, f"chaos-{args.chaos}", len(points))
-    try:
-        records = run_points(
-            points, jobs=args.jobs, cache=cache, resume=args.resume,
-            timeout_s=args.timeout, progress=True, telemetry=args.telemetry,
-            retries=args.retries, stream=stream,
-        )
-        if stream is not None:
-            stream.campaign_end(len(records), len(failures(records)))
-    finally:
-        if stream is not None:
-            stream.close()
-    if args.telemetry:
-        write_telemetry(out / "telemetry", records, cache)
-
-    failed = failures(records)
-    for r in failed:
-        info = r.error or {}
-        print(f"[chaos FAILED: {r.point.id} {r.status}: "
-              f"{info.get('type', '?')}: {info.get('message', '')}]",
-              file=sys.stderr)
-
-    ok = [r for r in records if r.ok]
-    res = chaos.summarize(results_by_name(ok, experiment=chaos.EXPERIMENT))
-    res["campaign"] = args.chaos
-    res["convergence"] = args.convergence
-    res["n_failed_points"] = len(failed)
-    chaos.report(res)
-    summaries_dir = out / "summaries"
-    summaries_dir.mkdir(parents=True, exist_ok=True)
-    (summaries_dir / f"chaos-{args.chaos}.json").write_text(
-        _summary_json(res) + "\n")
-    elapsed = sum(r.elapsed_s for r in records)
-    print(f"[chaos {args.chaos} done in {elapsed:.1f}s]")
-
-    if (failed or res["total_violations"] or not res["all_flows_terminal"]
-            or res.get("undetected_deadlocks")):
-        raise SystemExit(1)
+    _run_campaign(
+        args, out, cache, chaos, args.chaos, points,
+        gate=lambda res: (not res["total_violations"]
+                          and res["all_flows_terminal"]
+                          and not res.get("undetected_deadlocks")),
+        convergence=args.convergence,
+    )
 
 
 def list_campaigns() -> None:
@@ -312,42 +319,8 @@ def run_wire_campaign(args, parser, quick: bool, out: Path,
                                       seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    stream = _open_stream(args, out, f"wire-{args.wire}", len(points))
-    try:
-        records = run_points(
-            points, jobs=args.jobs, cache=cache, resume=args.resume,
-            timeout_s=args.timeout, progress=True, telemetry=args.telemetry,
-            retries=args.retries, stream=stream,
-        )
-        if stream is not None:
-            stream.campaign_end(len(records), len(failures(records)))
-    finally:
-        if stream is not None:
-            stream.close()
-    if args.telemetry:
-        write_telemetry(out / "telemetry", records, cache)
-
-    failed = failures(records)
-    for r in failed:
-        info = r.error or {}
-        print(f"[wire FAILED: {r.point.id} {r.status}: "
-              f"{info.get('type', '?')}: {info.get('message', '')}]",
-              file=sys.stderr)
-
-    ok = [r for r in records if r.ok]
-    res = wire.summarize(results_by_name(ok, experiment=wire.EXPERIMENT))
-    res["campaign"] = args.wire
-    res["n_failed_points"] = len(failed)
-    wire.report(res)
-    summaries_dir = out / "summaries"
-    summaries_dir.mkdir(parents=True, exist_ok=True)
-    (summaries_dir / f"wire-{args.wire}.json").write_text(
-        _summary_json(res) + "\n")
-    elapsed = sum(r.elapsed_s for r in records)
-    print(f"[wire {args.wire} done in {elapsed:.1f}s]")
-
-    if failed or not res["all_gates_passed"]:
-        raise SystemExit(1)
+    _run_campaign(args, out, cache, wire, args.wire, points,
+                  gate=lambda res: res["all_gates_passed"])
 
 
 def run_sharded_campaign(args, parser, quick: bool, out: Path) -> None:
@@ -433,10 +406,7 @@ def run_sharded_campaign(args, parser, quick: bool, out: Path) -> None:
         "sharded_busy_cpu_s": sharded["busy_cpu_s"],
         "single_busy_cpu_s": single["busy_cpu_s"],
     }
-    summaries_dir = out / "summaries"
-    summaries_dir.mkdir(parents=True, exist_ok=True)
-    (summaries_dir / "sharded-two-dc.json").write_text(
-        _summary_json(summary) + "\n")
+    _write_summary(out, "sharded-two-dc", summary)
     status = "EQUIVALENT" if report["equivalent"] else "MISMATCH"
     print(f"[sharded two-DC: {status} over {report['flows']} flows, "
           f"{sharded['rounds']} sync rounds, "

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Protocol, Tuple
 
 from repro.sim.node import FailureDomain
-from repro.sim.packet import CNP, DATA, PAUSE, Packet, default_pool
+from repro.sim.packet import CNP, PAUSE, Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -44,7 +44,6 @@ class Host(FailureDomain):
         "up",
         "attached_links",
         "down_node_drops",
-        "pool",
         "_uplink",
         "_spans",
     )
@@ -58,10 +57,6 @@ class Host(FailureDomain):
         self.endpoints: Dict[int, Endpoint] = {}
         self.rx_pkts = 0
         self.orphan_pkts = 0
-        # Opt-in packet free-list (REPRO_PACKET_POOL=1|poison, or
-        # enable_packet_pool()); None — the default — allocates fresh
-        # Packets and lets the GC reclaim them.
-        self.pool = default_pool()
         self._uplink: "Port" = None
         self._init_failure_domain()
         obs = sim.obs
@@ -123,14 +118,6 @@ class Host(FailureDomain):
 
     # -- datapath ----------------------------------------------------------
 
-    def enable_packet_pool(self, poison: bool = False) -> "PacketPool":
-        """Attach a packet free-list to this host (overrides the
-        process-wide REPRO_PACKET_POOL default)."""
-        from repro.sim.packet import PacketPool
-
-        self.pool = PacketPool(poison=poison)
-        return self.pool
-
     @property
     def uplink(self) -> "Port":
         """The host's single NIC egress port (asserts exactly one).
@@ -176,14 +163,6 @@ class Host(FailureDomain):
             self.orphan_pkts += 1
         else:
             endpoint.on_packet(pkt)
-        # Control packets (ACK/NACK/CNP) are consumed synchronously by
-        # the endpoint and never aliased elsewhere, so they are safe to
-        # recycle the moment dispatch returns. DATA packets are recycled
-        # at the *sender* once the echoing ACK proves the copy was
-        # consumed (see transport.base.Sender._on_ack).
-        pool = self.pool
-        if pool is not None and pkt.kind != DATA:
-            pool.release(pkt)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Host {self.name} dc={self.dc} flows={len(self.endpoints)}>"

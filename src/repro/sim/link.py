@@ -20,13 +20,13 @@ hundreds of heap entries with one. Set the module flag
 reference one-event-per-packet path (the determinism tests diff the two).
 
 The feeding :class:`~repro.sim.queues.Port` may additionally
-**batch-advance** its drain (see ``queues.BATCH_DRAIN``): it hands each
-packet to :meth:`Link._schedule` at *enqueue* time with the precomputed
+**batch-advance** its drain (see ``queues.BATCH_DRAIN``): it appends
+each packet to the in-flight deque at *enqueue* time with the precomputed
 serialization-finish instant, instead of calling :meth:`transmit` from a
-per-packet finish callback. Scheduled entries sit in the same in-flight
-deque (their wire-entry time is ``deliver_ps - prop_ps``); anything that
-could change a not-yet-on-the-wire packet's fate — ``fail()``, attaching
-a loss model, a direct :meth:`transmit` racing ahead of the schedule —
+per-packet finish callback. Scheduled entries sit in the same deque
+(their wire-entry time is ``deliver_ps - prop_ps``); anything that could
+change a not-yet-on-the-wire packet's fate — ``fail()``, attaching a
+loss model, a direct :meth:`transmit` racing ahead of the schedule —
 first *recalls* the future entries to the port (:meth:`_recall` /
 ``Port._rollback``), which replays them through the reference per-packet
 path so failure and loss semantics stay event-for-event identical.
@@ -177,12 +177,8 @@ class Link:
 
     @loss_model.setter
     def loss_model(self, model: Optional[LossModel]) -> None:
-        port = self._port
-        if port is not None:
-            if port._sched:
-                port._rollback()
-            else:
-                port._batch = None
+        if self._port is not None:
+            self._port._rollback()
         self._loss_model = model
 
     def transmit(self, pkt: Packet) -> None:
@@ -210,10 +206,7 @@ class Link:
         lm = self._loss_model
         if lm is not None and lm(pkt, sim.now):
             self.lost_pkts += 1
-            ev = self._events
-            if ev is not None and ev.wants("failure"):
-                ev.emit("failure", "pkt_loss", t=sim.now,
-                        link=self.name, flow=pkt.flow_id, seq=pkt.seq)
+            self._emit_pkt_loss(pkt, sim.now)
             return
         if self._coalesce:
             q = self._inflight
@@ -233,31 +226,6 @@ class Link:
                     heappush(sim._heap, (t, s, handle))
         else:
             sim.after(self.prop_ps, self._deliver, pkt)
-
-    def _schedule(self, pkt: Packet, finish_ps: int) -> None:
-        """Batch-advance entry point: accept a packet whose serialization
-        the feeding port has committed to finish at ``finish_ps`` >= now.
-
-        Called from ``Port.enqueue``'s fast path instead of a per-packet
-        finish callback later invoking :meth:`transmit`. The delivery seq
-        is reserved now (commit time) rather than at finish time; the
-        deque stays FIFO because the port commits finishes monotonically
-        and every mode switch recalls future entries first.
-        """
-        sim = self.sim
-        seq = sim._seq = sim._seq + 1
-        q = self._inflight
-        q.append((finish_ps + self.prop_ps, seq, pkt))
-        if not self._drain_armed:
-            self._drain_armed = True
-            t, s, _ = q[0]
-            handle = self._drain_handle
-            if handle is None:
-                self._drain_handle = sim.at_seq(t, s, self._drain)
-            else:
-                handle.time = t
-                handle.fired = False
-                heappush(sim._heap, (t, s, handle))
 
     def _recall(self, expect: int) -> list:
         """Hand back every scheduled packet not yet on the wire, in FIFO
@@ -361,6 +329,12 @@ class Link:
             ev.emit("failure", "failed_drop", t=now, link=self.name,
                     flow=pkt.flow_id, seq=pkt.seq)
 
+    def _emit_pkt_loss(self, pkt: Packet, now: int) -> None:
+        ev = self._events
+        if ev is not None and ev.wants("failure"):
+            ev.emit("failure", "pkt_loss", t=now, link=self.name,
+                    flow=pkt.flow_id, seq=pkt.seq)
+
     def _flush_inflight(self) -> None:
         """Kill everything mid-flight: count it as failed_drops, emit the
         same telemetry as the transmit-while-down path, disarm the drain.
@@ -388,18 +362,14 @@ class Link:
         if not self.up:
             return
         self.up = False
-        port = self._port
-        if port is not None:
+        if self._port is not None:
             # Batch-scheduled packets that have not reached the wire are
             # NOT in flight: recall them to the port before the flush so
             # they re-serialize and hit the down link as per-packet
             # failed_drops at their finish times, as the reference path
             # would. (_batch invalidates either way: no new commits while
             # the link is down.)
-            if port._sched:
-                port._rollback()
-            else:
-                port._batch = None
+            self._port._rollback()
         self.failures += 1
         obs = self._obs
         if obs is not None:

@@ -5,20 +5,11 @@ One slotted class for all packet kinds keeps the hot path monomorphic.
 and carry the data packet's send timestamp so senders can measure RTT
 without per-sequence state. NACKs identify an unrecoverable erasure-coding
 block (UnoRC, paper section 4.2).
-
-:class:`PacketPool` is an opt-in free-list that recycles Packet objects
-once the transport has provably consumed them (see the release rules in
-DESIGN.md "Performance"). Off by default; enable process-wide with
-``REPRO_PACKET_POOL=1`` or, for debugging, ``REPRO_PACKET_POOL=poison``,
-which overwrites every field of a released packet with a sentinel and
-verifies the poison on reuse — a use-after-free or double-release then
-fails loudly instead of corrupting a simulation.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional
+from typing import Optional
 
 DATA = 0
 ACK = 1
@@ -97,121 +88,9 @@ class Packet:
         )
 
 
-class PacketPool:
-    """Free-list of Packet objects (opt-in; see the module docstring).
-
-    ``acquire`` is a drop-in for the ``Packet(...)`` constructor;
-    ``release`` returns a packet whose last reference the caller owns.
-    The release rules live with the call sites: control packets are
-    released by :meth:`Host.receive` after endpoint dispatch, DATA
-    packets by the sender once the ACK's echoed timestamp proves the
-    exact retired copy was delivered and consumed.
-
-    In poison mode every released packet's fields are overwritten with
-    :data:`POISON` and verified on reuse, so a stale alias that wrote to
-    a recycled packet — or a double release — raises instead of silently
-    corrupting the simulation.
-    """
-
-    POISON = -0x5EED
-
-    __slots__ = ("poison", "max_free", "_free", "allocated", "recycled",
-                 "released")
-
-    # Slots a released packet must not have been written through. "kind"
-    # doubles as the double-release marker in both modes.
-    _POISON_SLOTS = (
-        "kind", "flow_id", "src", "dst", "sport", "dport", "seq", "size",
-        "payload", "sent_ps", "echo_sent_ps", "block_pos", "retx", "hops",
-    )
-
-    def __init__(self, poison: bool = False, max_free: int = 65536):
-        self.poison = poison
-        self.max_free = max_free
-        self._free: List[Packet] = []
-        self.allocated = 0  # fresh Packet constructions
-        self.recycled = 0   # acquires served from the free list
-        self.released = 0
-
-    def acquire(
-        self,
-        kind: int,
-        flow_id: int,
-        src: int,
-        dst: int,
-        seq: int,
-        size: int,
-        sport: int = 0,
-        dport: int = 0,
-        payload: int = 0,
-    ) -> Packet:
-        free = self._free
-        if not free:
-            self.allocated += 1
-            return Packet(kind, flow_id, src, dst, seq, size,
-                          sport=sport, dport=dport, payload=payload)
-        pkt = free.pop()
-        if self.poison:
-            self._check_poison(pkt)
-        self.recycled += 1
-        # Re-run the constructor body: every slot reset, same defaults.
-        pkt.__init__(kind, flow_id, src, dst, seq, size,
-                     sport=sport, dport=dport, payload=payload)
-        return pkt
-
-    def release(self, pkt: Packet) -> None:
-        if pkt.kind == self.POISON:
-            raise RuntimeError(
-                f"double release of pooled packet {pkt!r}"
-            )
-        if len(self._free) >= self.max_free:
-            return
-        self.released += 1
-        if self.poison:
-            for slot in self._POISON_SLOTS:
-                setattr(pkt, slot, self.POISON)
-            pkt.ecn = pkt.ecn_echo = False
-            pkt.block_id = pkt.nack_block = None
-            pkt.int_util = 0.0
-        else:
-            pkt.kind = self.POISON  # double-release marker
-        self._free.append(pkt)
-
-    def _check_poison(self, pkt: Packet) -> None:
-        for slot in self._POISON_SLOTS:
-            if getattr(pkt, slot) != self.POISON:
-                raise RuntimeError(
-                    "pooled packet written after release "
-                    f"(field {slot!r} = {getattr(pkt, slot)!r})"
-                )
-
-    def stats(self) -> dict:
-        return {
-            "allocated": self.allocated,
-            "recycled": self.recycled,
-            "released": self.released,
-            "free": len(self._free),
-            "poison": self.poison,
-        }
-
-
-_POOL_MODE = os.environ.get("REPRO_PACKET_POOL", "").strip().lower()
-
-
-def default_pool():
-    """A fresh pool per caller (hosts don't share free lists) when
-    REPRO_PACKET_POOL opts in; None — no pooling — otherwise."""
-    if _POOL_MODE in ("", "0", "off", "false", "no"):
-        return None
-    return PacketPool(poison=_POOL_MODE == "poison")
-
-
-def make_ack(data_pkt: Packet, now_ps: int,
-             pool: Optional[PacketPool] = None) -> Packet:
-    """Build the ACK for ``data_pkt`` (sent from its receiver back to src),
-    recycled from ``pool`` when one is attached."""
-    alloc = Packet if pool is None else pool.acquire
-    ack = alloc(
+def make_ack(data_pkt: Packet, now_ps: int) -> Packet:
+    """Build the ACK for ``data_pkt`` (sent from its receiver back to src)."""
+    ack = Packet(
         ACK,
         data_pkt.flow_id,
         src=data_pkt.dst,

@@ -302,10 +302,21 @@ class Port:
                        lambda: self.red_marked_pkts)
         registry.gauge(f"{base}.phantom_marked_pkts",
                        lambda: self.phantom_marked_pkts)
-        registry.gauge(f"{base}.tx_bytes", lambda: self.tx_bytes)
-        registry.gauge(f"{base}.queued_pkts",
-                       lambda: len(self._fifo) + len(self._sched))
-        registry.gauge(f"{base}.queued_bytes", lambda: self.bytes_queued)
+
+        # The batch path settles lazily: settle before reading, so a
+        # snapshot between a burst's finishes and the next enqueue/drain
+        # reports what the reference per-packet path would.
+        def tx_bytes():
+            self.occupancy_bytes()
+            return self.tx_bytes
+
+        def queued_pkts():
+            self.occupancy_bytes()
+            return len(self._fifo) + len(self._sched)
+
+        registry.gauge(f"{base}.tx_bytes", tx_bytes)
+        registry.gauge(f"{base}.queued_pkts", queued_pkts)
+        registry.gauge(f"{base}.queued_bytes", self.occupancy_bytes)
         registry.gauge(f"{base}.pause_frames_rx", lambda: self.pause_frames_rx)
         registry.gauge(f"{base}.paused_time_ps", lambda: self.paused_time_ps)
 
@@ -313,24 +324,10 @@ class Port:
         """Turn on INT stamping with HPCC's base-RTT reference ``T``."""
         if t_ref_ps <= 0:
             raise ValueError("INT reference time must be positive")
-        if self._sched:
-            # Packets not yet on the wire must be stamped at their finish
-            # times (the reference path stamps in _finish_tx).
-            self._rollback()
-        else:
-            self._batch = None
+        # Packets not yet on the wire must be stamped at their finish
+        # times (the reference path stamps in _finish_tx).
+        self._rollback()
         self.int_t_ref_ps = t_ref_ps
-
-    # -- marking ---------------------------------------------------------
-
-    def _red_marks(self, occupancy_before: int) -> bool:
-        if occupancy_before < self._red_min_th:
-            return False
-        if occupancy_before >= self._red_max_th:
-            return True
-        span = self._red_span
-        p = (occupancy_before - self._red_min_th) / span if span > 0 else 1.0
-        return self._rng.random() < p
 
     # -- wiring ----------------------------------------------------------
 
@@ -345,14 +342,11 @@ class Port:
         topology wiring never calls this.
         """
         old = self._sink
-        if self._sched:
-            # Committed-but-unfinished packets re-serialize and reach the
-            # NEW sink at their finish times, exactly as the reference
-            # path's _finish_tx would; packets already on the wire keep
-            # propagating to the link's own sink.
-            self._rollback()
-        else:
-            self._batch = None
+        # Committed-but-unfinished packets re-serialize and reach the
+        # NEW sink at their finish times, exactly as the reference
+        # path's _finish_tx would; packets already on the wire keep
+        # propagating to the link's own sink.
+        self._rollback()
         self._sink = check_sink(sink, f"port {self.name}.divert")
         return old
 
@@ -391,8 +385,7 @@ class Port:
         # RNG draw order (RED first, then phantom) is load-bearing: it
         # must not depend on whether telemetry is attached. RED is
         # inlined here (thresholds precomputed at construction); the RNG
-        # is drawn exactly when min_th <= occupancy < max_th, as in
-        # _red_marks.
+        # is drawn exactly when min_th <= occupancy < max_th.
         if occupancy < self._red_min_th:
             red_marked = False
         elif occupancy >= self._red_max_th:
@@ -447,9 +440,11 @@ class Port:
                 start = now
             self._busy_until = finish = start + ser
             sched.append((finish, size))
-            # Link._schedule inlined (one call per packet is measurable):
-            # commit straight into the link's in-flight deque and arm its
-            # drain if it is dark. Must stay behavior-identical to it.
+            # Commit straight into the link's in-flight deque (no call:
+            # one per packet is measurable) and arm its drain if it is
+            # dark. The delivery seq is reserved now, at commit time; the
+            # deque stays FIFO because finishes are committed
+            # monotonically and every mode switch recalls future entries.
             link = self.link
             sim = self.sim
             seq = sim._seq = sim._seq + 1
@@ -560,12 +555,16 @@ class Port:
         sched.clear()
         self._busy_until = 0
         self._busy = True
-        sim = self.sim
+        self._arm_tx(head_finish)
+
+    def _arm_tx(self, time: int) -> None:
+        """Arm the one perpetual serialization event off the per-packet
+        path (enqueue/_finish_tx inline the same push)."""
         tx = self._tx_handle
         if tx is None:
-            self._tx_handle = sim.at(head_finish, self._finish_tx)
+            self._tx_handle = self.sim.at(time, self._finish_tx)
         else:
-            sim.rearm(tx, head_finish)
+            self.sim.rearm(tx, time)
 
     def _finish_tx(self) -> None:
         fifo = self._fifo
@@ -637,11 +636,8 @@ class Port:
                 f"invalid PFC thresholds: xon={xon_frac} xoff={xoff_frac} "
                 "(need 0 < xon <= xoff <= 1)"
             )
-        if self._sched:
-            # Pause boundaries must be honored per packet from here on.
-            self._rollback()
-        else:
-            self._batch = None
+        # Pause boundaries must be honored per packet from here on.
+        self._rollback()
         self.pfc_enabled = True
         self._xoff_bytes = xoff_frac * self.capacity_bytes
         self._xon_bytes = xon_frac * self.capacity_bytes
@@ -720,8 +716,7 @@ class Port:
         restart the frozen serializer if packets are waiting."""
         if not self._paused:
             return
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         self._paused = False
         self._pause_until = None
         handle = self._pause_handle
@@ -741,14 +736,7 @@ class Port:
             ser = round(fifo[0].size * 8000 / self._gbps)
             if ser < 1:
                 ser = 1
-            tx = self._tx_handle
-            if tx is None:
-                self._tx_handle = sim.after(ser, self._finish_tx)
-            else:
-                sim._seq = seq = sim._seq + 1
-                tx.time = t = now + ser
-                tx.fired = False
-                heappush(sim._heap, (t, seq, tx))
+            self._arm_tx(now + ser)
         # A queue already above XOFF when the pause lifts must pause
         # upstream now, not on the next enqueue: it drains at line rate
         # while neighbors would otherwise keep transmitting into it.

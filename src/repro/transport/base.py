@@ -32,7 +32,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Optional,
@@ -45,9 +44,6 @@ from repro.sim.network import Network
 from repro.sim.packet import ACK, CNP, DATA, NACK, Packet, make_ack
 from repro.sim.units import MS, bdp_bytes, ser_time_ps
 from repro.transport.watermark import WatermarkSet
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 @runtime_checkable
@@ -268,7 +264,7 @@ class Receiver:
         self.send_ack(pkt)
 
     def send_ack(self, pkt: Packet) -> None:
-        ack = make_ack(pkt, self.sim.now, pool=self.host.pool)
+        ack = make_ack(pkt, self.sim.now)
         self.host.send(ack)
 
     def _idle_check(self) -> None:
@@ -628,9 +624,7 @@ class Sender:
     def _emit(self, seq: int) -> None:
         now = self.sim.now
         payload = self.payload_of(seq)
-        pool = self.src.pool
-        alloc = Packet if pool is None else pool.acquire
-        pkt = alloc(
+        pkt = Packet(
             DATA,
             self.flow_id,
             src=self.src.node_id,
@@ -722,14 +716,6 @@ class Sender:
         else:
             self.inflight_bytes -= payload
         self.stats.bytes_acked += payload
-        pool = self.src.pool
-        if pool is not None and pkt.echo_sent_ps == sent.sent_ps:
-            # The ACK echoes the exact copy we just retired: it was
-            # delivered and consumed, nothing else references it (each
-            # (re)transmission is a distinct object with a distinct
-            # sent_ps; a mismatch means an older copy arrived while this
-            # one may still be on the wire — then we must not recycle).
-            pool.release(sent)
         rtt = self.sim.now - pkt.echo_sent_ps
         if rtt > 0:
             if self.min_rtt_ps is None or rtt < self.min_rtt_ps:
@@ -912,10 +898,9 @@ def start_flow(
     sender = sender_cls(
         sim, net, flow_id, src, dst, size_bytes, cc, **sender_kwargs
     )
-    if receiver_cls is not Receiver or hasattr(receiver, "attach_sender"):
-        attach = getattr(receiver, "attach_sender", None)
-        if attach is not None:
-            attach(sender)
+    attach = getattr(receiver, "attach_sender", None)
+    if attach is not None:
+        attach(sender)
     src.register(flow_id, sender)
     dst.register(flow_id, receiver)
     sender.receiver = receiver  # type: ignore[attr-defined]

@@ -3,13 +3,11 @@
 :class:`WireHost` mirrors the :class:`~repro.sim.host.Host` API that
 ``transport.base`` and the UnoRC/UnoLB stack actually touch — the
 flow-endpoint registry (``register``/``unregister`` with close-on-drop
-semantics), ``send(pkt)``, ``node_id``/``name``/``dc``/``up``, and
-``pool`` (always None here: packets are serialized at the socket
-boundary, so recycling Packet objects across it would be aliasing a
-record the wire no longer references). Arriving datagrams are parsed
-(:mod:`repro.wire.frame`), payload-verified, and dispatched to the
-registered endpoint exactly like ``Host.receive``; malformed frames and
-corrupted payloads are counted, never dispatched.
+semantics), ``send(pkt)`` and ``node_id``/``name``/``dc``/``up``.
+Arriving datagrams are parsed (:mod:`repro.wire.frame`),
+payload-verified, and dispatched to the registered endpoint exactly
+like ``Host.receive``; malformed frames and corrupted payloads are
+counted, never dispatched.
 
 :class:`WireNetwork` is the route stub that lets the unmodified
 ``start_flow``/``start_uno_flow`` entry points run on the wire: there
@@ -50,7 +48,6 @@ class WireHost(asyncio.DatagramProtocol):
         self.name = name
         self.dc = dc
         self.up = True
-        self.pool = None  # never pool across the serialization boundary
         self.endpoints: Dict[int, object] = {}
         self.rx_pkts = 0
         self.orphan_pkts = 0

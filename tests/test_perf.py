@@ -1,10 +1,10 @@
 """Hot-path overhaul invariants: coalesced event streams, tombstone
-compaction, packet pooling, and lazy metric registration.
+compaction, batch-advanced drains, and lazy metric registration.
 
 The perf work in engine/link/queues must be *observationally invisible*:
 same event order, same results, byte-identical summaries. These tests pin
-that bar — plus the safety nets (poison pooling, failure flush telemetry)
-the optimizations ship with.
+that bar — plus the safety net (failure flush telemetry) the
+optimizations ship with.
 """
 
 import random
@@ -23,13 +23,11 @@ from repro.experiments.harness import (
     run_specs,
 )
 from repro.obs import TelemetryContext, enable
-from repro.sim import packet as packet_mod
 from repro.sim.engine import Simulator
-from repro.sim.host import Host
 from repro.sim.link import Link
-from repro.sim.packet import ACK, DATA, Packet, PacketPool
+from repro.sim.packet import DATA, Packet
 from repro.sim.queues import Port
-from repro.sim.units import KIB, US
+from repro.sim.units import US
 from repro.workloads.alibaba_wan import ALIBABA_WAN_CDF
 from repro.workloads.generator import PoissonTraffic, TrafficConfig
 from repro.workloads.websearch import WEBSEARCH_CDF
@@ -240,14 +238,11 @@ class TestLinkCoalescing:
 # ----------------------------------------------------------------------
 
 
-def _mixed_traffic_summary(seed: int, poison: bool = False):
+def _mixed_traffic_summary(seed: int):
     """A small two-DC Poisson run reduced to a canonical JSON summary."""
     sim = Simulator()
     params = SCALE.params()
     topo = build_multidc(sim, "uno", params, SCALE, seed=seed)
-    if poison:
-        for host in topo.all_hosts():
-            host.enable_packet_pool(poison=True)
     traffic = PoissonTraffic(
         topo,
         TrafficConfig(
@@ -407,6 +402,26 @@ class TestBatchAdvance:
         ref = _burst_trace(False, actions=actions)
         assert batch == ref
 
+    @pytest.mark.parametrize("leave", [
+        lambda port: port.enable_int(10 * US),
+        lambda port: setattr(port.link, "loss_model", lambda pkt, now: False),
+        lambda port: port.link.fail(),
+    ], ids=["enable_int", "loss_model", "fail"])
+    def test_idle_port_leaves_batch_mode(self, leave):
+        # An empty drain schedule takes _rollback()'s early return: the
+        # cached eligibility must still be dropped, so the next packet
+        # serializes through the reference per-packet path.
+        sim = Simulator()
+        link = Link(sim, 100.0, prop_ps=5 * US)
+        link.connect(_TraceSink(sim))
+        port = Port(sim, link, capacity_bytes=64_000)
+        port.enqueue(_data(0))
+        sim.run()
+        assert port._batch is True and not port._sched
+        leave(port)
+        port.enqueue(_data(1))
+        assert not port._sched and port._busy
+
     def test_mixed_traffic_matches_reference(self):
         old = queues_mod.BATCH_DRAIN
         try:
@@ -417,106 +432,6 @@ class TestBatchAdvance:
         finally:
             queues_mod.BATCH_DRAIN = old
         assert batched == reference
-
-    def test_mixed_traffic_matches_reference_poison_pool(self):
-        # Poison pooling on top: a batch path holding a released alias
-        # (or releasing a committed packet early) trips the poison check
-        # instead of silently corrupting the run.
-        old = queues_mod.BATCH_DRAIN
-        try:
-            queues_mod.BATCH_DRAIN = True
-            batched = _mixed_traffic_summary(71, poison=True)
-            queues_mod.BATCH_DRAIN = False
-            reference = _mixed_traffic_summary(71, poison=True)
-        finally:
-            queues_mod.BATCH_DRAIN = old
-        assert batched == reference
-
-
-# ----------------------------------------------------------------------
-# packet pooling
-# ----------------------------------------------------------------------
-
-
-class TestPacketPool:
-    def test_recycles_released_objects(self):
-        pool = PacketPool()
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pool.release(pkt)
-        again = pool.acquire(ACK, 1, src=3, dst=2, seq=0, size=64)
-        assert again is pkt
-        assert again.kind == ACK and again.ecn is False and again.retx == 0
-        assert pool.stats()["recycled"] == 1
-
-    def test_double_release_raises(self):
-        pool = PacketPool()
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pool.release(pkt)
-        with pytest.raises(RuntimeError, match="double release"):
-            pool.release(pkt)
-
-    def test_poison_catches_write_after_release(self):
-        pool = PacketPool(poison=True)
-        pkt = pool.acquire(DATA, 1, src=2, dst=3, seq=0, size=100)
-        pool.release(pkt)
-        pkt.seq = 7  # stale alias writes through
-        with pytest.raises(RuntimeError, match="written after release"):
-            pool.acquire(DATA, 1, src=2, dst=3, seq=1, size=100)
-
-    def test_env_opt_in(self, monkeypatch):
-        monkeypatch.setattr(packet_mod, "_POOL_MODE", "")
-        assert packet_mod.default_pool() is None
-        monkeypatch.setattr(packet_mod, "_POOL_MODE", "1")
-        pool = packet_mod.default_pool()
-        assert isinstance(pool, PacketPool) and not pool.poison
-        monkeypatch.setattr(packet_mod, "_POOL_MODE", "poison")
-        assert packet_mod.default_pool().poison
-
-    def test_end_to_end_poison_run_recycles(self):
-        """A full dumbbell transfer under poison pooling: completes, and
-        actually recycles packets (the release rules do fire)."""
-        from repro.topology.simple import dumbbell
-        from repro.transport.dctcp import DCTCP
-        from repro.transport.base import start_flow
-
-        sim = Simulator()
-        topo = dumbbell(sim, n_pairs=2, gbps=25.0, prop_ps=1 * US,
-                        queue_bytes=256 * KIB, seed=3)
-        hosts = list(topo.senders) + list(topo.receivers)
-        for host in hosts:
-            host.enable_packet_pool(poison=True)
-        senders = [
-            start_flow(sim, topo.net, DCTCP(), s, r, 256 * KIB,
-                       base_rtt_ps=8 * US, seed=i)
-            for i, (s, r) in enumerate(zip(topo.senders, topo.receivers))
-        ]
-        sim.run()
-        assert all(s.done for s in senders)
-        assert sum(h.pool.recycled for h in hosts) > 0
-
-    def test_pooled_results_match_unpooled(self):
-        """Pooling must not change simulation results, only allocation."""
-        from repro.topology.simple import dumbbell
-        from repro.transport.dctcp import DCTCP
-        from repro.transport.base import start_flow
-
-        def fcts(pooled: bool):
-            sim = Simulator()
-            topo = dumbbell(sim, n_pairs=2, gbps=25.0, prop_ps=1 * US,
-                            queue_bytes=256 * KIB, seed=3)
-            for host in list(topo.senders) + list(topo.receivers):
-                host.pool = PacketPool(poison=True) if pooled else None
-            senders = [
-                start_flow(sim, topo.net, DCTCP(), s, r, 256 * KIB,
-                           base_rtt_ps=8 * US, seed=i)
-                for i, (s, r) in enumerate(
-                    zip(topo.senders, topo.receivers))
-            ]
-            sim.run()
-            return [(s.stats.fct_ps, s.stats.retransmissions)
-                    for s in senders]
-
-        assert fcts(pooled=True) == fcts(pooled=False)
 
 
 # ----------------------------------------------------------------------
@@ -550,15 +465,3 @@ class TestLazyMetrics:
             with pytest.raises(ValueError, match="already registered"):
                 sim.obs.metrics.snapshot()
 
-
-# ----------------------------------------------------------------------
-# host pool default
-# ----------------------------------------------------------------------
-
-
-class TestHostPool:
-    def test_enable_packet_pool(self):
-        sim = Simulator()
-        host = Host(sim, 0, "h0")
-        pool = host.enable_packet_pool(poison=True)
-        assert host.pool is pool and pool.poison

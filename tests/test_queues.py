@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+import repro.sim.queues as queues_mod
+from repro.obs import TelemetryContext
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
 from repro.sim.packet import DATA, Packet
 from repro.sim.queues import PhantomQueue, PhantomQueueConfig, Port, REDConfig
-from repro.sim.units import US, ser_time_ps
+from repro.sim.units import MS, US, ser_time_ps
 
 
 class Sink:
@@ -224,3 +226,23 @@ class TestPortIntrospection:
         assert port.tx_bytes == 4096
         assert port.occupancy_bytes() == 0
         assert port.phantom_occupancy() == 0.0
+
+    def test_gauges_settle_before_reading(self, monkeypatch):
+        """A telemetry snapshot taken after a burst's serializations
+        finished but before the next enqueue/drain settles the batch
+        schedule must read what the reference per-packet path reads."""
+        def snapshot(batch):
+            monkeypatch.setattr(queues_mod, "BATCH_DRAIN", batch)
+            with TelemetryContext(profile=False):
+                sim = Simulator()
+                port, _ = make_port(sim, capacity=1_000_000, prop=1 * MS)
+                for i in range(10):
+                    port.enqueue(pkt(size=4160, seq=i))
+                sim.run(until=100 * US)  # all serialized, none delivered
+                gauges = sim.obs.metrics.snapshot()["port"][port.name]
+            return {k: gauges[k]
+                    for k in ("tx_bytes", "queued_bytes", "queued_pkts")}
+
+        reference = snapshot(False)
+        assert reference == dict(tx_bytes=41600, queued_bytes=0, queued_pkts=0)
+        assert snapshot(True) == reference

@@ -120,6 +120,33 @@ class TestBoundaryProtocol:
         with pytest.raises(WiringError):
             port.divert(object())
 
+    def test_cut_link_loss_emits_pkt_loss_events(self):
+        """A loss-model draw on a cut link is traced like the same draw
+        in ``Link.transmit``: one ``failure/pkt_loss`` event per lost
+        packet, so a sharded trace keeps its border-link losses."""
+        import random
+
+        from repro.obs import enable
+        from repro.sim.queues import Port
+        from repro.sim.shard import ShardBoundary
+
+        sim = Simulator()
+        bundle = enable(sim, event_topics={"failure"}, profile=False)
+        link = Link(sim, 100.0, 1 * US, name="cut")
+        link.connect(Sink())
+        port = Port(sim, link, capacity_bytes=1024 * 1024)
+        boundary = ShardBoundary(sim, shard_id=0)
+        boundary.cut_egress(port, link)
+        rng = random.Random(5)
+        link.loss_model = lambda pkt, now: rng.random() < 0.5
+        for seq in range(40):
+            port.receive(pkt(seq))
+        sim.run()
+        losses = bundle.events.events(topic="failure", kind="pkt_loss")
+        assert 0 < link.lost_pkts < 40
+        assert len(losses) == link.lost_pkts
+        assert link.lost_pkts + boundary.sent["cut"] == 40
+
 
 class TestPacketSerialization:
     def test_round_trip_preserves_every_slot(self):

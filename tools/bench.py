@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import resource
 import sys
@@ -43,10 +42,6 @@ sys.path.insert(0, str(REPO_ROOT))          # benchmarks package
 sys.path.insert(0, str(REPO_ROOT / "src"))  # repro package
 
 from benchmarks.perf import scenarios as S  # noqa: E402
-
-# Recorded per run, so a record says which packet path it measured.
-POOL_MODE = os.environ.get("REPRO_PACKET_POOL", "").strip().lower() or "off"
-
 
 def peak_rss_bytes() -> int:
     """Peak resident set size of this process, in bytes (Linux: KiB)."""
@@ -70,7 +65,6 @@ def run_scenario(name: str, fn, quick: bool, seed: int,
         quick=quick,
         seed=seed,
         repeat=repeat,
-        pool_mode=POOL_MODE,
         python=platform.python_version(),
         machine=platform.machine(),
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -104,7 +98,7 @@ def check_baseline(results: list[dict], baseline_path: Path,
             continue
         floor = base["events_per_sec"] * (1.0 - tolerance)
         status = "ok" if rec["events_per_sec"] >= floor else "REGRESSED"
-        print(f"  baseline {name} [{POOL_MODE}]: "
+        print(f"  baseline {name}: "
               f"{rec['events_per_sec']:,.0f} ev/s vs "
               f"floor {floor:,.0f} ev/s ({base['events_per_sec']:,.0f} "
               f"- {tolerance:.0%}) -> {status}")

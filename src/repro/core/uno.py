@@ -8,6 +8,7 @@ paper-faithful flows in one call.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Optional
 
 from repro.coding.block import BlockConfig
@@ -29,18 +30,31 @@ from repro.transport.base import (
 )
 
 
+# The frozen per-layer configs a ``UnoParams`` implies are built once and
+# shared by every flow launched under it: they are immutable, and a run
+# launches thousands of flows under one ``UnoParams``.
+
+@lru_cache(maxsize=16)
+def _cc_config(params: UnoParams) -> UnoCCConfig:
+    return UnoCCConfig(
+        alpha_frac_of_bdp=params.alpha_frac_of_bdp,
+        beta=params.qa_beta,
+        k_bytes=params.k_bytes,
+        # Unified granularity: the epoch period tracks the intra-DC
+        # RTT for *both* intra- and inter-DC flows.
+        epoch_period_ps=params.intra_rtt_ps,
+    )
+
+
+@lru_cache(maxsize=16)
+def _rc_config(params: UnoParams) -> UnoRCConfig:
+    return UnoRCConfig(
+        block=BlockConfig(params.ec_data_pkts, params.ec_parity_pkts))
+
+
 def make_unocc(params: UnoParams, is_inter_dc: bool) -> UnoCC:
     """A fresh UnoCC instance configured per the paper's Table 2."""
-    return UnoCC(
-        UnoCCConfig(
-            alpha_frac_of_bdp=params.alpha_frac_of_bdp,
-            beta=params.qa_beta,
-            k_bytes=params.k_bytes,
-            # Unified granularity: the epoch period tracks the intra-DC
-            # RTT for *both* intra- and inter-DC flows.
-            epoch_period_ps=params.intra_rtt_ps,
-        )
-    )
+    return UnoCC(_cc_config(params))
 
 
 def start_uno_flow(
@@ -72,10 +86,10 @@ def start_uno_flow(
     is_inter = src.dc != dst.dc
     rtt = base_rtt_ps if base_rtt_ps is not None else params.base_rtt_for(is_inter)
     cc = make_unocc(params, is_inter)
-    block = BlockConfig(params.ec_data_pkts, params.ec_parity_pkts)
+    rc = _rc_config(params)
     if path is None:
         if use_lb:
-            path = UnoLB(n_subflows=block.block_pkts)
+            path = UnoLB(n_subflows=rc.block.block_pkts)
         else:
             path = FixedEntropy()
     common = dict(
@@ -93,7 +107,6 @@ def start_uno_flow(
         start_ps=start_ps,
     )
     if use_rc and is_inter:
-        rc = UnoRCConfig(block=block)
         return start_flow(
             sim,
             net,

@@ -16,13 +16,10 @@ recently received ACKs".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import Dict, List
 
 from repro.sim.packet import Packet
-from repro.transport.base import PathSelector, Sender
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
+from repro.transport.base import EMPTY_MAP, EMPTY_SEQ, PathSelector, Sender
 
 
 class UnoLB(PathSelector):
@@ -32,9 +29,10 @@ class UnoLB(PathSelector):
             raise ValueError("need at least one subflow")
         self.n_subflows = n_subflows
         self.reroute_min_gap_ps = reroute_min_gap_ps  # 0 = use base RTT
-        self.entropies: List[int] = []
+        # Subflow state lives from on_init (flow start) to on_done.
+        self.entropies: List[int] = EMPTY_SEQ
         self._index = 0
-        self._last_ack_ps: Dict[int, int] = {}  # entropy -> last ACK time
+        self._last_ack_ps: Dict[int, int] = EMPTY_MAP  # entropy -> last ACK
         self._last_reroute_ps = -(1 << 62)
         self.reroutes = 0
 
@@ -45,6 +43,10 @@ class UnoLB(PathSelector):
         self._last_ack_ps = {e: -1 for e in self.entropies}
         if self.reroute_min_gap_ps <= 0:
             self.reroute_min_gap_ps = sender.base_rtt_ps
+
+    def on_done(self, sender: Sender) -> None:
+        self.entropies = EMPTY_SEQ
+        self._last_ack_ps = EMPTY_MAP
 
     def entropy(self, sender: Sender, pkt: Packet) -> int:
         if pkt.retx > 0:

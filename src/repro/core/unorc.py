@@ -37,6 +37,8 @@ from repro.sim.host import Host
 from repro.sim.packet import ACK, Packet, make_nack
 from repro.transport.base import (
     DEFAULT_RECEIVER_IDLE_TIMEOUT_PS,
+    EMPTY_MAP,
+    EMPTY_SEQ,
     Receiver,
     Sender,
 )
@@ -62,18 +64,34 @@ class UnoRCConfig:
 
 class UnoRCSender(Sender):
     """Sender half of UnoRC: block framing, parity scheduling, NACK handling."""
+
+    __slots__ = ("rc", "n_blocks", "_block_data_acked", "_block_complete",
+                 "_parity_queue", "_parity_enqueued")
+
     def __init__(self, *args, rc: UnoRCConfig = UnoRCConfig(), **kwargs):
         self.rc = rc
         super().__init__(*args, **kwargs)
         # Block state is lazy and bounded by the blocks in flight (a dict
         # of open blocks, watermark sets of finished ones): a 64 GiB flow
         # has millions of blocks, so neither preallocated per-block arrays
-        # nor a record of every finished block is affordable.
+        # nor a record of every finished block is affordable. The open
+        # -block dict and the parity queue exist only while the flow is
+        # active (see Sender._allocate); the floors stay.
         self.n_blocks = rc.block.n_blocks(self.total_data_pkts)
-        self._block_data_acked: Dict[int, int] = {}
+        self._block_data_acked: Dict[int, int] = EMPTY_MAP
         self._block_complete = WatermarkSet()
-        self._parity_queue: deque[int] = deque()
+        self._parity_queue: deque[int] = EMPTY_SEQ
         self._parity_enqueued = WatermarkSet()
+
+    def _allocate(self) -> None:
+        super()._allocate()
+        self._block_data_acked = {}
+        self._parity_queue = deque()
+
+    def _release(self) -> None:
+        super()._release()
+        self._block_data_acked = EMPTY_MAP
+        self._parity_queue = EMPTY_SEQ
 
     # -- sequence layout ---------------------------------------------------
 
@@ -211,10 +229,12 @@ class UnoRCReceiver(Receiver):
         self.rc = rc
         self._timeout_ps = rc.block_timeout_ps
         self._total_data_pkts: Optional[int] = None
-        self._positions: Dict[int, Set[int]] = {}
+        # Per-open-block state: allocated with the first block's first
+        # packet, released by close(). ``_complete`` (floors) stays.
+        self._positions: Dict[int, Set[int]] = EMPTY_MAP
         self._complete = WatermarkSet()
-        self._timers: Dict[int, EventHandle] = {}
-        self._nack_counts: Dict[int, int] = {}
+        self._timers: Dict[int, EventHandle] = EMPTY_MAP
+        self._nack_counts: Dict[int, int] = EMPTY_MAP
         self.nacks_sent = 0
         self.blocks_decoded_with_parity = 0
         self._sender_src: Optional[int] = None
@@ -246,8 +266,9 @@ class UnoRCReceiver(Receiver):
             return
         positions = self._positions.get(b)
         if positions is None:
-            positions = set()
-            self._positions[b] = positions
+            if self._positions is EMPTY_MAP:
+                self._positions, self._timers, self._nack_counts = {}, {}, {}
+            positions = self._positions[b] = set()
         positions.add(pkt.block_pos)
         # (Re-)arm the block timer: it detects an *idle gap* — timeout
         # with no further packets of an incomplete block — rather than
@@ -292,11 +313,12 @@ class UnoRCReceiver(Receiver):
     def close(self) -> None:
         """Cancel block timers along with the base idle timer: an
         unregistered receiver (flow done, sender aborted, or host crash)
-        must leave nothing armed on the event loop."""
+        must leave nothing armed on the event loop, and holds no state
+        for blocks that will never finish."""
         super().close()
         for timer in self._timers.values():
             timer.cancel()
-        self._timers.clear()
+        self._positions = self._timers = self._nack_counts = EMPTY_MAP
 
     # -- block timer ------------------------------------------------------
 

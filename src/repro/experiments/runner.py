@@ -27,7 +27,6 @@ way inline, in a worker, or read back from disk.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 import traceback
@@ -201,6 +200,10 @@ def _execute_one(point, telemetry):
 
 def _run_pool(points, todo, records, cache, printer, jobs, timeout_s,
               telemetry=False, final=True, stream=None) -> None:
+    # Imported where it is used: multiprocessing pulls in socket, pickle
+    # and selectors, which a single-process run never needs.
+    import multiprocessing
+
     ctx = multiprocessing.get_context()
     pending = list(todo)
     running: Dict[Any, tuple] = {}  # proc -> (index, conn, t0)

@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.queues import Port
 
 _M64 = (1 << 64) - 1
+# ECMP memo entries per switch before it is cleared. A constant, not a
+# knob: the hash is pure, so the bound changes memory and the hit rate,
+# never a forwarding decision.
+_HASH_CACHE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -118,11 +122,13 @@ class Switch(FailureDomain):
         self._qcn_last_ps: Dict[int, int] = {}  # flow id -> last CNP time
         self.cnps_sent = 0
         self.no_route_drops = 0   # known dst, empty equal-cost set
-        # ECMP memo: flow identity -> full 64-bit hash. The hash is pure
-        # in its inputs, so caching preserves path selection exactly; the
-        # full hash (not the modulo) is stored so the choice stays
-        # correct when failures shrink the equal-cost set.
-        self._hash_cache: Dict[Tuple[int, int, int, int], int] = {}
+        # ECMP memo: flow identity, packed as flow_hash packs it -> full
+        # 64-bit hash. The hash is a pure function of that one int and
+        # the salt, so caching preserves path selection exactly, also
+        # for identities that pack to the same key; the full hash (not
+        # the modulo) is stored so the choice stays correct when failures
+        # shrink the equal-cost set. At most _HASH_CACHE_MAX entries.
+        self._hash_cache: Dict[int, int] = {}
         # PFC controller (repro.sim.pfc.enable_pfc); None = lossy fabric.
         self.pfc = None
         self.pfc_frames_rx = 0
@@ -193,14 +199,17 @@ class Switch(FailureDomain):
         if n == 1:
             port = choices[0]
         elif self.mode != "rps":
-            key = (pkt.src, pkt.dst, pkt.sport, pkt.dport)
+            # flow_hash(), inlined around the memo: its packed key is
+            # the memo key (one int per packet, no tuple per hop).
+            key = (pkt.src << 48) ^ (pkt.dst << 32) ^ (pkt.sport << 16) \
+                ^ pkt.dport
             cache = self._hash_cache
             try:
                 idx = cache[key]
             except KeyError:
-                if len(cache) >= 65536:  # bound memory under sport churn
+                if len(cache) >= _HASH_CACHE_MAX:  # sport churn, dead flows
                     cache.clear()
-                idx = cache[key] = flow_hash(*key, self.salt)
+                idx = cache[key] = mix64(key ^ mix64(self.salt))
             port = choices[idx % n]
             self.multipath_pkts += 1
         else:

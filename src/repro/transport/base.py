@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
+    Mapping,
     Optional,
     Protocol,
     runtime_checkable,
@@ -97,6 +99,16 @@ DEFAULT_MAX_RTO_PS = 10 * MS           # inter-DC-scale backoff ceiling
 DEFAULT_RTO_BACKOFF_MAX = 16           # max exponential backoff factor
 DEFAULT_RECEIVER_IDLE_TIMEOUT_PS = 200 * MS
 
+# What a flow's reliability containers are while it is *at rest* —
+# launched but not started, completed, or aborted: one shared, immutable,
+# empty object per shape. A flow holds real containers only between
+# ``Sender.start()`` (the receiver: its first data packet) and the
+# terminal transition. Reads behave like the empty container; a write is
+# an error, so a sender's mutating entry points check ``_active`` first.
+EMPTY_MAP: Mapping = MappingProxyType({})
+EMPTY_SET: frozenset = frozenset()
+EMPTY_SEQ: tuple = ()
+
 
 @dataclass(frozen=True)
 class AbortPolicy:
@@ -158,6 +170,11 @@ class PathSelector:
 
     def on_nack_or_timeout(self, sender: "Sender") -> None: ...
 
+    def on_done(self, sender: "Sender") -> None:
+        """Called at the terminal transition, beside
+        :meth:`CongestionControl.on_done`: release per-path state here
+        (counters the analysis reads stay)."""
+
 
 class FixedEntropy(PathSelector):
     """Single fixed entropy value: plain ECMP behaviour."""
@@ -173,7 +190,7 @@ class FixedEntropy(PathSelector):
         return self._value
 
 
-@dataclass
+@dataclass(slots=True)
 class SenderStats:
     """Outcome record for one flow."""
 
@@ -298,7 +315,28 @@ class Receiver:
 
 
 class Sender:
-    """The sending endpoint of one flow."""
+    """The sending endpoint of one flow.
+
+    Between launch and ``start()`` and after its terminal transition a
+    sender is *at rest*: a slotted descriptor (identity, size, timer
+    constants, ``stats``, the watermark floors) whose reliability
+    containers are the shared empties above. ``start()`` allocates them,
+    ``_teardown()`` releases them; there is no other allocation path.
+    """
+
+    __slots__ = (
+        "sim", "net", "flow_id", "src", "dst", "size_bytes", "cc", "mss",
+        "base_rtt_ps", "line_gbps", "bdp_bytes", "path", "on_complete",
+        "_rng_seed", "_rng", "is_inter_dc", "total_data_pkts", "_next_seq",
+        "outstanding", "inflight_bytes", "acked_seqs", "_retx_queue",
+        "_retx_set", "_lost_seqs", "cwnd", "pacing_rate_gbps", "min_rtt_ps",
+        "srtt_ps", "rttvar_ps", "_next_pace_ps", "_pace_handle",
+        "_rto_handle", "rto_multiplier", "min_rto_ps", "max_rto_ps",
+        "rto_backoff_max", "_rto_backoff", "abort_policy",
+        "_consecutive_timeouts", "_deadline_handle", "_aborted", "stats",
+        "_done", "_active", "_obs", "_events", "_spans", "_counters",
+        "receiver", "start_handle",
+    )
 
     def __init__(
         self,
@@ -322,7 +360,6 @@ class Sender:
         abort: Optional[AbortPolicy] = None,
         seed: int = 0,
         is_inter_dc: bool = False,
-        start_immediately: bool = False,
     ):
         if size_bytes <= 0:
             raise ValueError(f"flow size must be positive, got {size_bytes}")
@@ -344,22 +381,29 @@ class Sender:
         self._rng_seed = seed ^ (flow_id * 0x9E3779B9)
         self._rng: Optional[random.Random] = None
         self.is_inter_dc = is_inter_dc
+        # Set by start_flow: the peer endpoint (analysis reads its
+        # counters after the run), and the scheduled start, kept until
+        # it fires so a flow can be deactivated before it ever runs.
+        self.receiver: Optional[Receiver] = None
+        self.start_handle: Optional[TimerHandle] = None
 
         # Packetization: ceil(size / mss) packets, last may be short.
+        # Parity sequences (UnoRC) follow the data sequences.
         self.total_data_pkts = (size_bytes + mss - 1) // mss
         self._next_seq = 0
-        self._next_parity_seq = self.total_data_pkts  # parity seqs follow data
 
-        # Reliability state.
-        self.outstanding: Dict[int, Packet] = {}  # seq -> last sent packet
+        # Reliability state. The containers are allocated by start() and
+        # released by _teardown(); the watermark floors outlive both.
+        self._active = False
+        self.outstanding: Dict[int, Packet] = EMPTY_MAP  # seq -> last sent
         self.inflight_bytes = 0
         # Data and parity sequences each compact behind their own floor.
         self.acked_seqs = WatermarkSet(split=self.total_data_pkts)
-        self._retx_queue: deque[int] = deque()
-        self._retx_set: set[int] = set()
+        self._retx_queue: deque[int] = EMPTY_SEQ
+        self._retx_set: set[int] = EMPTY_SET
         # Sequences declared lost (queued for retransmit): their bytes are
         # retired from inflight until the retransmission goes out.
-        self._lost_seqs: set[int] = set()
+        self._lost_seqs: set[int] = EMPTY_SET
 
         # Congestion state (mutated by the CC strategy).
         self.cwnd: float = float(mss)
@@ -414,14 +458,14 @@ class Sender:
             }
         )
 
-        if start_immediately:
-            self.start()
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
+        self.start_handle = None
+        self._allocate()
+        self._active = True
         self.stats.start_ps = self.sim.now
         if self._counters is not None:
             self._counters["flows_started"].inc()
@@ -497,17 +541,40 @@ class Sender:
                                  reason=reason)
         self._teardown()
 
+    def _allocate(self) -> None:
+        """Give the flow its reliability containers (``start()`` only).
+        Subclasses with containers of their own extend this and
+        :meth:`_release`."""
+        self.outstanding = {}
+        self._retx_queue = deque()
+        self._retx_set = set()
+        self._lost_seqs = set()
+
+    def _release(self) -> None:
+        """Back to the shared empties (``_teardown()`` only)."""
+        self.outstanding = EMPTY_MAP
+        self._retx_queue = EMPTY_SEQ
+        self._retx_set = self._lost_seqs = EMPTY_SET
+
     def _teardown(self) -> None:
-        """The part of a terminal transition completion and abort share."""
+        """The part of a terminal transition completion and abort share.
+        Also what a launched flow that never started goes through: its
+        pending start is cancelled, the rest finds nothing to release."""
+        self._active = False
         self._cancel_timers()
         self._rng = None
+        self._release()
         self.cc.on_done(self)
+        self.path.on_done(self)
         self.src.unregister(self.flow_id)
         self.dst.unregister(self.flow_id)
         if self.on_complete is not None:
             self.on_complete(self)
 
     def _cancel_timers(self) -> None:
+        if self.start_handle is not None:
+            self.start_handle.cancel()
+            self.start_handle = None
         if self._rto_handle is not None:
             self._rto_handle.cancel()
             self._rto_handle = None
@@ -671,8 +738,8 @@ class Sender:
     # ------------------------------------------------------------------
 
     def on_packet(self, pkt: Packet) -> None:
-        if self.terminal:
-            return
+        if not self._active:
+            return  # at rest (not started, or terminal): nothing to update
         if pkt.kind == ACK:
             self._on_ack(pkt)
         elif pkt.kind == NACK:
@@ -818,7 +885,7 @@ class Sender:
     def queue_retransmit(self, seq: int) -> None:
         """Declare ``seq`` lost and schedule its retransmission (RTO and
         UnoRC NACKs). The lost copy's bytes leave the inflight account."""
-        if seq in self.acked_seqs or self.terminal:
+        if seq in self.acked_seqs or not self._active:
             return
         if seq not in self._retx_set:
             self._retx_queue.append(seq)
@@ -903,11 +970,12 @@ def start_flow(
         attach(sender)
     src.register(flow_id, sender)
     dst.register(flow_id, receiver)
-    sender.receiver = receiver  # type: ignore[attr-defined]
+    sender.receiver = receiver
     when = sim.now if start_ps is None else start_ps
     sender.stats.start_ps = when
-    # The start handle is kept on the sender so shard workers can
-    # deactivate flows owned by another shard before they ever run.
+    # Kept on the sender until it fires, so a shard worker can deactivate
+    # a flow owned by another shard and a terminal transition that comes
+    # first (host crash) cancels it.
     sender.start_handle = sim.at(when, sender.start)
     return sender
 

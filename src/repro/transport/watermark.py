@@ -13,6 +13,9 @@ from itertools import chain
 from typing import Iterator
 
 
+_NOTHING_ABOVE: frozenset = frozenset()
+
+
 class WatermarkSet:
     """A grow-only set of non-negative ints held as
     ``[0, floor) | [split, hi_floor) | above``.
@@ -29,6 +32,10 @@ class WatermarkSet:
     in ``above`` until the last data packet is acked). Without it the
     second run is empty and out of reach.
 
+    ``above`` is a real set only while something sits above a floor: it
+    starts as, and drains back to, one shared empty frozenset, so a
+    stream that arrives in order (and every set at rest) holds two ints.
+
     Supports what callers used on the builtin set: ``in``, ``add``,
     ``len``, truthiness and iteration (in no particular order).
     """
@@ -38,19 +45,24 @@ class WatermarkSet:
     def __init__(self, split: int = sys.maxsize):
         self.floor = 0
         self.split = self.hi_floor = split
-        self.above: set[int] = set()
+        self.above: set[int] = _NOTHING_ABOVE
 
     def add(self, x: int) -> None:
         hi = x >= self.split
         floor = self.hi_floor if hi else self.floor
         if x > floor:
+            if self.above is _NOTHING_ABOVE:
+                self.above = set()
             self.above.add(x)
         elif x == floor:
             above = self.above
             x += 1
-            while x in above:
-                above.remove(x)
-                x += 1
+            if above:
+                while x in above:
+                    above.remove(x)
+                    x += 1
+                if not above:
+                    self.above = _NOTHING_ABOVE
             if hi:
                 self.hi_floor = x
             else:

@@ -1,6 +1,8 @@
 """The memory model of DESIGN.md: per-flow reliability state is
-O(reorder window), not O(message); a launched-but-idle or finished flow
-holds no random state; importing the simulator does not load numpy."""
+O(reorder window), not O(message); a flow at rest (launched but not
+started, completed, aborted) is a descriptor holding shared empty
+containers and no random state; the ECMP memo is bounded; importing the
+simulator loads neither numpy nor multiprocessing."""
 
 import gc
 import os
@@ -10,16 +12,29 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coding.block import BlockConfig
+from repro.core import start_uno_flow
+from repro.core.unolb import UnoLB
 from repro.core.unorc import UnoRCConfig, UnoRCReceiver, UnoRCSender
+from repro.experiments.harness import ExperimentScale, build_multidc
+from repro.sim.chaos import check_invariants
 from repro.sim.engine import Simulator
 from repro.sim.failures import BernoulliLoss
-from repro.sim.units import KIB, MIB, US
+from repro.sim.packet import ACK, DATA, Packet
+from repro.sim.switch import _HASH_CACHE_MAX, Switch, flow_hash
+from repro.sim.units import KIB, MIB, MS, US
 from repro.topology.simple import dumbbell
-from repro.transport.base import start_flow
+from repro.transport.base import (
+    EMPTY_MAP,
+    EMPTY_SEQ,
+    EMPTY_SET,
+    AbortPolicy,
+    start_flow,
+)
 from repro.transport.dctcp import DCTCP
 from repro.transport.watermark import WatermarkSet
 
@@ -86,17 +101,73 @@ class TestWatermarkSet:
             ws.add(x)
         assert (ws.floor, ws.hi_floor, len(ws)) == (3, 5, 5)
 
+    def test_above_is_a_set_only_while_something_is_above_a_floor(self):
+        ws = WatermarkSet()
+        shared = ws.above
+        ws.add(0)
+        assert ws.above is shared  # in order: no set was ever made
+        ws.add(2)
+        assert ws.above == {2}
+        ws.add(1)
+        assert ws.floor == 3 and ws.above is shared
+
+
+def small_dumbbell(sim):
+    return dumbbell(sim, n_pairs=1, gbps=25.0, prop_ps=1 * US,
+                    queue_bytes=256 * KIB, seed=3)
+
+
+def launch_plain(sim, topo, size, **flow_kwargs):
+    return start_flow(sim, topo.net, DCTCP(), topo.senders[0],
+                      topo.receivers[0], size, base_rtt_ps=8 * US,
+                      **flow_kwargs)
+
+
+def launch_rc(sim, topo, size, rc=UnoRCConfig(block=BlockConfig(4, 2),
+                                             block_timeout_ps=20 * US),
+              **flow_kwargs):
+    """An UnoRC + UnoLB flow on the dumbbell."""
+    return launch_plain(sim, topo, size, sender_cls=UnoRCSender,
+                        receiver_cls=UnoRCReceiver,
+                        receiver_kwargs={"rc": rc}, rc=rc,
+                        path=UnoLB(n_subflows=6), **flow_kwargs)
+
 
 def run_flow(size, **flow_kwargs):
     sim = Simulator()
-    topo = dumbbell(sim, n_pairs=1, gbps=25.0, prop_ps=1 * US,
-                    queue_bytes=256 * KIB, seed=3)
-    sender = start_flow(sim, topo.net, DCTCP(), topo.senders[0],
-                        topo.receivers[0], size, base_rtt_ps=8 * US,
-                        **flow_kwargs)
+    topo = small_dumbbell(sim)
+    sender = launch_plain(sim, topo, size, **flow_kwargs)
     sim.run()
     assert sender.done
     return sim, topo, sender
+
+
+def assert_at_rest(sender):
+    """Every reliability container is the shared empty of its shape."""
+    assert sender.outstanding is EMPTY_MAP
+    assert sender._retx_queue is EMPTY_SEQ
+    assert sender._retx_set is EMPTY_SET and sender._lost_seqs is EMPTY_SET
+    assert sender._rng is None
+    if isinstance(sender, UnoRCSender):
+        assert sender._block_data_acked is EMPTY_MAP
+        assert sender._parity_queue is EMPTY_SEQ
+    path = sender.path
+    if isinstance(path, UnoLB):
+        assert path.entropies is EMPTY_SEQ
+        assert path._last_ack_ps is EMPTY_MAP
+    receiver = sender.receiver
+    if isinstance(receiver, UnoRCReceiver):
+        assert receiver._positions is EMPTY_MAP
+        assert receiver._timers is EMPTY_MAP
+        assert receiver._nack_counts is EMPTY_MAP
+
+
+def poke(sender, topo):
+    """Hand ``sender`` an ACK and a loss declaration for sequence 0."""
+    sender.on_packet(Packet(ACK, sender.flow_id,
+                            src=topo.receivers[0].node_id,
+                            dst=topo.senders[0].node_id, seq=0, size=64))
+    sender.queue_retransmit(0)
 
 
 def transport_bytes_held_after(size):
@@ -129,17 +200,11 @@ class TestFlowFootprint:
         assert not acked.above and 255 in acked and 256 not in acked
 
     def test_unorc_block_state_is_released_per_block(self):
-        rc = UnoRCConfig(block=BlockConfig(4, 2), block_timeout_ps=20 * US)
         sim = Simulator()
-        topo = dumbbell(sim, n_pairs=1, gbps=25.0, prop_ps=1 * US,
-                        queue_bytes=256 * KIB, seed=3)
+        topo = small_dumbbell(sim)
         link = topo.net.link_between(topo.senders[0], topo.net.node("swL"))
         link.loss_model = BernoulliLoss(0.05, seed=5)
-        sender = start_flow(
-            sim, topo.net, DCTCP(), topo.senders[0], topo.receivers[0],
-            2 * MIB, sender_cls=UnoRCSender, receiver_cls=UnoRCReceiver,
-            receiver_kwargs={"rc": rc}, rc=rc, base_rtt_ps=8 * US,
-        )
+        sender = launch_rc(sim, topo, 2 * MIB)
         sim.run()
         receiver = sender.receiver
         assert sender.done and receiver.nacks_sent > 0
@@ -149,8 +214,208 @@ class TestFlowFootprint:
         for ws in (sender.acked_seqs, sender._block_complete,
                    sender._parity_enqueued, receiver._complete):
             assert not ws.above
-        assert not sender._block_data_acked
-        assert not receiver._positions and not receiver._nack_counts
+        # Released with the flow; what the analysis reads is still there.
+        assert_at_rest(sender)
+        assert sender._all_delivered()
+        assert receiver.blocks_decoded_with_parity > 0
+        assert sender.stats.retransmissions > 0
+        assert check_invariants(sim, topo.net, [sender], sim.now) == []
+
+    # -- a flow at rest is a descriptor ----------------------------------
+
+    @staticmethod
+    def bytes_per_launched_flow(launch, n=1000):
+        """tracemalloc bytes per flow over ``n`` launched, unstarted flows
+        (everything the launch allocated: both endpoints, policies, the
+        scheduled start, host registrations)."""
+        launch(0)  # first-use caches (shared configs, route tables)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            keep = [launch(i) for i in range(1, n + 1)]
+            gc.collect()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(keep) == n
+        return (after - before) / n
+
+    def test_launched_plain_flow_stays_under_2_kib(self):
+        # 1.5 KiB measured (py3.11): slotted sender and stats, receiver,
+        # DCTCP, FixedEntropy, the scheduled start, two registrations.
+        sim = Simulator()
+        topo = small_dumbbell(sim)
+        per_flow = self.bytes_per_launched_flow(
+            lambda i: launch_plain(sim, topo, MIB, start_ps=1 * MS))
+        assert per_flow < 2 * KIB, per_flow
+
+    def test_launched_uno_inter_dc_flow_stays_under_3_kib(self):
+        # UnoCC + UnoRC + UnoLB through start_uno_flow: 2.1 KiB measured
+        # (py3.11), the frozen configs shared per UnoParams.
+        scale = ExperimentScale.quick()
+        params = scale.params()
+        sim = Simulator()
+        topo = build_multidc(sim, "uno", params, scale, seed=5)
+
+        def launch(i):
+            sender = start_uno_flow(
+                sim, topo.net, topo.host(0, i % 8), topo.host(1, i % 8),
+                MIB, params, start_ps=1 * MS)
+            assert type(sender) is UnoRCSender
+            return sender
+
+        per_flow = self.bytes_per_launched_flow(launch)
+        assert per_flow < 3 * KIB, per_flow
+
+    @pytest.mark.parametrize("launch", [launch_plain, launch_rc])
+    def test_state_lives_from_start_to_the_terminal_transition(self, launch):
+        sim = Simulator()
+        topo = small_dumbbell(sim)
+        sender = launch(sim, topo, 256 * KIB, start_ps=5 * US)
+        assert_at_rest(sender)
+        assert sender.start_handle is not None
+        sim.run(until=7 * US)
+        assert type(sender.outstanding) is dict and sender.outstanding
+        assert type(sender._retx_set) is set
+        sim.run()
+        assert sender.done and sender._all_delivered()
+        assert_at_rest(sender)
+        assert sender.start_handle is None and sender.stats.fct_ps > 0
+        assert check_invariants(sim, topo.net, [sender], sim.now) == []
+
+    @pytest.mark.parametrize("launch", [launch_plain, launch_rc])
+    def test_aborted_flow_is_at_rest(self, launch):
+        """Deadline abort of a flow stalled mid-transfer: containers that
+        held unacked packets and open blocks are released."""
+        sim = Simulator()
+        topo = small_dumbbell(sim)
+        sender = launch(sim, topo, 4 * MIB,
+                        abort=AbortPolicy(deadline_ps=2 * MS))
+        sim.run(until=200 * US)
+        assert sender.outstanding
+        for link in topo.net.links:
+            link.fail()
+        sim.run()
+        assert sender.aborted and sender.stats.abort_reason == "deadline"
+        assert not sender._all_delivered()
+        assert_at_rest(sender)
+        assert check_invariants(sim, topo.net, [sender], sim.now) == []
+
+    # -- flows that never start ------------------------------------------
+
+    @pytest.mark.parametrize("launch", [launch_plain, launch_rc])
+    def test_host_crash_before_start_tears_down_cleanly(self, launch):
+        sim = Simulator()
+        topo = small_dumbbell(sim)
+        done = []
+        sender = launch(sim, topo, 256 * KIB, start_ps=50 * US,
+                        on_complete=done.append)
+        sim.run(until=10 * US)
+        topo.senders[0].fail()
+        assert sender.aborted and sender.stats.abort_reason == "host_failed"
+        assert done == [sender] and sender.start_handle is None
+        assert_at_rest(sender)
+        sim.run()  # the cancelled start never fires
+        assert sender.stats.first_send_ps is None
+        assert topo.net.link_between(
+            topo.senders[0], topo.net.node("swL")).delivered_pkts == 0
+        assert not topo.senders[0].endpoints
+        assert not topo.receivers[0].endpoints
+        assert check_invariants(sim, topo.net, [sender], 1 * MS) == []
+
+    @pytest.mark.parametrize("launch", [launch_plain, launch_rc])
+    def test_cancelled_start_leaves_a_descriptor(self, launch):
+        """What a shard worker does to a flow another shard owns."""
+        sim = Simulator()
+        topo = small_dumbbell(sim)
+        sender = launch(sim, topo, 256 * KIB, start_ps=50 * US)
+        sender.start_handle.cancel()
+        sim.run()
+        assert sim.events_executed == 0 and not sender.terminal
+        assert sender.outstanding is EMPTY_MAP
+        poke(sender, topo)  # feedback for a flow that is not running here
+        assert sender.stats.dup_acks == 0 and sender.inflight_bytes == 0
+        assert_at_rest(sender)
+
+    def test_terminal_sender_ignores_feedback(self):
+        sim, topo, sender = run_flow(64 * KIB)
+        poke(sender, topo)
+        assert sender.stats.dup_acks == 0
+        assert_at_rest(sender)
+
+    def test_closed_unorc_receiver_holds_no_open_blocks(self):
+        """close() drops the positions and NACK counts of blocks that
+        will never finish along with their timers."""
+        rc = UnoRCConfig(block=BlockConfig(4, 2), block_timeout_ps=20 * US)
+        sim = Simulator()
+        topo = small_dumbbell(sim)
+        sender = launch_rc(sim, topo, 4 * MIB, rc=rc)
+        link = topo.net.link_between(topo.senders[0], topo.net.node("swL"))
+        link.loss_model = BernoulliLoss(0.3, seed=5)
+        sim.run(until=400 * US)
+        receiver = sender.receiver
+        assert receiver._positions and receiver._timers
+        assert receiver._nack_counts
+        topo.receivers[0].unregister(sender.flow_id)
+        assert receiver._positions is EMPTY_MAP
+        assert receiver._timers is EMPTY_MAP
+        assert receiver._nack_counts is EMPTY_MAP
+
+
+class _RecordingPort:
+    """The two things Switch.receive asks of an egress port."""
+
+    def __init__(self):
+        self.got = []
+        self.receive = self.got.append
+
+    def occupancy_bytes(self):
+        return 0
+
+
+class TestEcmpMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2**20)] * 4), min_size=1,
+                    max_size=8),
+           st.integers(0, 2**63 - 1),
+           st.lists(st.integers(2, 8), min_size=1, max_size=4))
+    def test_picks_the_flow_hash_choice_as_the_set_shrinks(
+            self, flows, salt, widths):
+        """For every equal-cost set width the chosen port is
+        ``choices[flow_hash(src, dst, sport, dport, salt) % n]`` — on a
+        cold memo, on a warm one, and after it is cleared."""
+        sw = Switch(Simulator(), node_id=1, name="sw", salt=salt)
+        ports = [_RecordingPort() for _ in range(8)]
+
+        def check():
+            for n in sorted(widths, reverse=True):
+                for src, dst, sport, dport in flows:
+                    sw.nexthops[dst] = tuple(ports[:n])
+                    pkt = Packet(DATA, 1, src, dst, seq=0, size=64)
+                    pkt.sport, pkt.dport = sport, dport
+                    sw.receive(pkt)
+                    want = ports[flow_hash(src, dst, sport, dport, salt) % n]
+                    assert want.got.pop() is pkt
+                    assert not any(p.got for p in ports)
+
+        check()
+        assert 0 < len(sw._hash_cache) <= len(flows)
+        check()
+        sw._hash_cache.clear()
+        check()
+
+    def test_memo_is_bounded(self):
+        sw = Switch(Simulator(), node_id=1, name="sw", salt=9)
+        ports = [_RecordingPort() for _ in range(4)]
+        sw.nexthops[7] = tuple(ports)
+        for sport in range(_HASH_CACHE_MAX + 100):
+            pkt = Packet(DATA, 1, 3, 7, seq=0, size=64)
+            pkt.sport, pkt.dport = sport, 80
+            sw.receive(pkt)
+            assert len(sw._hash_cache) <= _HASH_CACHE_MAX
+            assert ports[flow_hash(3, 7, sport, 80, 9) % 4].got.pop() is pkt
+        assert len(sw._hash_cache) == 100
 
 
 class TestLazyRng:
@@ -175,8 +440,15 @@ class TestLazyRng:
 
 
 def test_importing_the_simulator_does_not_load_numpy():
+    """Nor, importing only ``repro.sim``, the process machinery that the
+    sharded and ``--jobs`` runners import where they use it."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, repro, repro.experiments.harness; "
-            "sys.exit('numpy' in sys.modules)")
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    for code in (
+        "import sys, repro, repro.experiments.harness; "
+        "sys.exit('numpy' in sys.modules)",
+        "import sys, repro.sim; "
+        "sys.exit('multiprocessing' in sys.modules or 'socket' in sys.modules)",
+    ):
+        assert subprocess.run([sys.executable, "-c", code],
+                              env=env).returncode == 0, code

@@ -204,56 +204,6 @@ def two_dc_mixed(quick: bool, seed: int) -> Dict:
 
 
 @scenario
-def two_dc_sharded(quick: bool, seed: int) -> Dict:
-    """Two-DC Poisson traffic on 2 shard engines vs one engine.
-
-    Runs the pinned :class:`~repro.experiments.sharded.TwoDCWorkload`
-    once single-engine and once sharded (one worker process per DC,
-    conservative sync across the border links) and reports the sharded
-    run's **aggregate** event rate: total events over the critical-path
-    worker CPU time (the slowest shard's busy seconds plus nothing else
-    — exactly total-events/wall-clock when every worker owns a core, and
-    hardware-independent when CI packs both workers onto one). The
-    wall-clock rate of this machine is recorded alongside
-    (``wall_events_per_sec``), as are the single-engine baseline and the
-    ``speedup`` ratio the ISSUE gates on.
-    """
-    from repro.experiments.sharded import TwoDCWorkload, run_sharded
-
-    workload = TwoDCWorkload(seed=seed, max_flows=1000 if quick else 2000)
-    single = run_sharded(workload, shards=1)
-    sharded = run_sharded(workload, shards=2, processes=True)
-    if sharded["violations"] or sharded["unfinished"] or single["unfinished"]:
-        raise RuntimeError(
-            f"two_dc_sharded run unhealthy: violations="
-            f"{sharded['violations']} unfinished="
-            f"{sharded['unfinished']}/{single['unfinished']}"
-        )
-    agg_rate = sharded["total_events"] / sharded["busy_cpu_s"]
-    single_rate = single["total_events"] / single["busy_cpu_s"]
-    import os
-    return {
-        "name": "two_dc_sharded",
-        "flows": len(sharded["flows"]),
-        "shards": 2,
-        "rounds": sharded["rounds"],
-        "lookahead_ps": sharded["lookahead_ps"],
-        "events": sharded["total_events"],
-        "packets": sharded["delivered_pkts"],
-        "wall_s": sharded["wall_s"],
-        "events_per_sec": agg_rate,
-        "packets_per_sec": sharded["delivered_pkts"] / sharded["busy_cpu_s"],
-        "wall_events_per_sec": sharded["total_events"] / sharded["wall_s"],
-        "busy_cpu_by_shard": sharded["busy_cpu_by_shard"],
-        "single_events": single["total_events"],
-        "single_wall_s": single["wall_s"],
-        "single_events_per_sec": single_rate,
-        "speedup": agg_rate / single_rate,
-        "cpus": os.cpu_count(),
-    }
-
-
-@scenario
 def topo_build(quick: bool, seed: int) -> Dict:
     """Topology construction under attached telemetry.
 
@@ -289,10 +239,7 @@ def topo_build(quick: bool, seed: int) -> Dict:
 
 
 # The core scenarios whose events/sec the CI baseline gate tracks
-# (topo_build reports builds/sec, not an event rate). two_dc_sharded's
-# gated number is the aggregate sharded rate — a regression there means
-# the boundary/sync layer got more expensive.
+# (topo_build reports builds/sec, not an event rate).
 CORE_SCENARIOS = (
     "event_loop", "dumbbell_saturation", "fattree_perm", "two_dc_mixed",
-    "two_dc_sharded",
 )

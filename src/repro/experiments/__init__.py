@@ -19,12 +19,9 @@ substitution notes); ``quick=False`` approaches the paper's scale.
 from repro.experiments.api import (
     EXPERIMENTS,
     ExperimentPoint,
-    TwoDCWorkload,
     canonical_json,
-    check_equivalence,
     execute_point,
     experiment_module,
-    run_sharded,
 )
 from repro.experiments.cache import ResultCache, point_key
 from repro.experiments.harness import (
@@ -51,9 +48,7 @@ __all__ = [
     "FlowLauncher",
     "PointRecord",
     "ResultCache",
-    "TwoDCWorkload",
     "build_multidc",
-    "check_equivalence",
     "canonical_json",
     "execute_point",
     "experiment_module",
@@ -64,7 +59,6 @@ __all__ = [
     "results_by_name",
     "run_experiment",
     "run_points",
-    "run_sharded",
     "run_specs",
     "scale_for",
 ]

@@ -144,18 +144,9 @@ def execute_point(point: ExperimentPoint) -> Dict[str, Any]:
     return normalize_result(module.run_point(point))
 
 
-# Sharded execution is part of the experiment API surface: campaigns ask
-# for it with ``run_all --shards`` and tests drive it directly. The
-# implementation lives in :mod:`repro.experiments.sharded`.
-from repro.experiments.sharded import (  # noqa: E402  (re-export)
-    SHARD_TRACE_TOPICS,
-    TwoDCWorkload,
-    check_equivalence,
-    run_sharded,
-)
-
-# So is the campaign progress stream: run_all writes it, the dashboard
-# tails it, and experiment drivers can pass one to ``run_points``.
+# The campaign progress stream is part of the experiment API surface:
+# run_all writes it, the dashboard tails it, and experiment drivers can
+# pass one to ``run_points``.
 from repro.experiments.progress import (  # noqa: E402  (re-export)
     CAMPAIGN_STREAM_NAME,
     CampaignStream,

@@ -4,7 +4,7 @@ Usage:
     python -m repro.experiments.run_all [--paper] [--only fig3,fig10]
         [--jobs N] [--resume] [--seed S] [--out DIR] [--timeout SECS]
         [--telemetry] [--retries N] [--chaos CAMPAIGN] [--convergence V]
-        [--shards N] [--wire CAMPAIGN] [--list-campaigns]
+        [--wire CAMPAIGN] [--list-campaigns]
 
 All selected experiments are decomposed into independent points first,
 then the whole point set is executed by one runner pass — so ``--jobs``
@@ -20,11 +20,7 @@ simulators the point built, written to
 served from the cache did not run and therefore carry no telemetry.
 Every telemetry campaign also streams its progress line-by-line to
 ``<out>/telemetry/campaign.jsonl`` — ``tools/dashboard.py <out>`` tails
-it live and ``--html`` renders the static report. Combined with
-``--shards 2``, telemetry turns on shard-tagged tracing: per-worker
-JSONL traces, the canonical merged ``telemetry/sharded/trace.jsonl``
-and a merged-registry ``telemetry/sharded/summary.json``, with the exit
-gate extended to trace conservation and cross-shard span stitching.
+it live and ``--html`` renders the static report.
 
 ``--retries N`` re-runs points that errored or timed out up to N extra
 times (jittered exponential backoff between passes); the failure record
@@ -50,13 +46,6 @@ non-zero if any point fails or any cell's gate fails (soak invariants,
 blackhole abort accounting, comparison tolerance bands).
 ``--list-campaigns`` prints every chaos and wire campaign and exits.
 
-``--shards 2`` runs the sharded-equivalence campaign instead of the
-paper experiments: the pinned two-DC workload on a single engine vs one
-engine process per DC under conservative border-link sync. Exit status
-is non-zero unless the runs are flow-for-flow identical with zero
-cross-shard conservation violations; the verdict lands at
-``<out>/summaries/sharded-two-dc.json``.
-
 Quick mode (default) takes minutes on one core; --paper takes hours.
 """
 
@@ -74,26 +63,19 @@ from repro.experiments.progress import CAMPAIGN_STREAM_NAME, CampaignStream
 from repro.experiments.runner import failures, results_by_name, run_points
 
 
-def _open_stream(args, out: Path, campaign: str,
-                 total: int) -> Optional[CampaignStream]:
-    """With ``--telemetry``, open the tailable campaign progress stream
-    at ``<out>/telemetry/campaign.jsonl`` (the file tools/dashboard.py
-    follows while the campaign runs)."""
-    if not args.telemetry:
-        return None
-    telemetry_dir = out / "telemetry"
-    telemetry_dir.mkdir(parents=True, exist_ok=True)
-    stream = CampaignStream(telemetry_dir / CAMPAIGN_STREAM_NAME)
-    stream.campaign_start(total, campaign=campaign, out=str(out))
-    return stream
-
-
 def _run_point_set(args, out: Path, cache: ResultCache, campaign: str,
                    points) -> list:
-    """One runner pass over ``points`` — streamed to the campaign log
-    and followed by the telemetry dump under ``--telemetry`` — returning
-    the records."""
-    stream = _open_stream(args, out, campaign, len(points))
+    """One runner pass over ``points``, returning the records. With
+    ``--telemetry`` it is streamed to the tailable campaign log at
+    ``<out>/telemetry/campaign.jsonl`` (the file tools/dashboard.py
+    follows while the campaign runs) and followed by the telemetry
+    dump."""
+    stream: Optional[CampaignStream] = None
+    if args.telemetry:
+        telemetry_dir = out / "telemetry"
+        telemetry_dir.mkdir(parents=True, exist_ok=True)
+        stream = CampaignStream(telemetry_dir / CAMPAIGN_STREAM_NAME)
+        stream.campaign_start(len(points), campaign=campaign, out=str(out))
     try:
         records = run_points(
             points, jobs=args.jobs, cache=cache, resume=args.resume,
@@ -154,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--paper", action="store_true",
                         help="full paper-scale runs instead of quick mode")
-    parser.add_argument("--only", type=str, default="",
+    parser.add_argument("--only", type=str, default=None,
                         help="comma-separated subset, e.g. fig3,table1")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for point execution (>= 1)")
@@ -178,11 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--convergence", type=str, default="default",
                         help="chaos-only control-plane knob: 'default', a "
                              "delay in ps (0 = static routes), or 'inf'")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="run the sharded two-DC campaign on N engines "
-                             "(N=2: one per DC) instead of the paper "
-                             "experiments, checking flow-level equivalence "
-                             "against the single-engine run")
     parser.add_argument("--wire", type=str, default=None, metavar="CAMPAIGN",
                         help="run this wire campaign (loopback UDP soak "
                              "and/or sim-vs-wire comparison; e.g. soak, "
@@ -203,15 +180,17 @@ def main(argv: Optional[List[str]] = None) -> None:
         list_campaigns()
         return
 
+    exclusive = [flag for flag, on in (
+        ("--only", args.only is not None), ("--chaos", args.chaos),
+        ("--wire", args.wire),
+    ) if on]
+    if len(exclusive) > 1:
+        parser.error(f"{' and '.join(exclusive)} are mutually exclusive")
     targets = ALL
-    if args.only:
-        if args.chaos:
-            parser.error("--chaos replaces the experiment list; "
-                         "it cannot be combined with --only")
-        if args.wire:
-            parser.error("--wire replaces the experiment list; "
-                         "it cannot be combined with --only")
+    if args.only is not None:
         targets = [t.strip() for t in args.only.split(",") if t.strip()]
+        if not targets:
+            parser.error(f"--only names no experiment: {args.only!r}")
         unknown = set(targets) - set(ALL)
         if unknown:
             parser.error(f"unknown experiments: {sorted(unknown)}")
@@ -224,17 +203,8 @@ def main(argv: Optional[List[str]] = None) -> None:
     out = Path(args.out)
     cache = ResultCache(out / "points")
 
-    exclusive = [flag for flag, on in (
-        ("--chaos", args.chaos), ("--shards", args.shards is not None),
-        ("--wire", args.wire),
-    ) if on]
-    if len(exclusive) > 1:
-        parser.error(f"{' and '.join(exclusive)} are mutually exclusive")
     if args.chaos:
         run_chaos_campaign(args, parser, quick, out, cache)
-        return
-    if args.shards is not None:
-        run_sharded_campaign(args, parser, quick, out)
         return
     if args.wire:
         run_wire_campaign(args, parser, quick, out, cache)
@@ -321,108 +291,6 @@ def run_wire_campaign(args, parser, quick: bool, out: Path,
         parser.error(str(exc))
     _run_campaign(args, out, cache, wire, args.wire, points,
                   gate=lambda res: res["all_gates_passed"])
-
-
-def run_sharded_campaign(args, parser, quick: bool, out: Path) -> None:
-    """Run the pinned two-DC workload sharded and gate on equivalence.
-
-    One engine per DC (``--shards 2``), synchronized conservatively
-    across the border links, compared flow-by-flow (FCTs, retransmits,
-    timeouts, bytes acked) against the single-engine reference run.
-    Writes ``<out>/summaries/sharded-two-dc.json``; exits non-zero on
-    any flow-level mismatch or cross-shard conservation violation.
-
-    With ``--telemetry`` the sharded leg additionally produces, under
-    ``<out>/telemetry/sharded/``: per-worker shard-tagged JSONL traces
-    (``workers/shard-K.jsonl``), the canonical ps-ordered merged trace
-    (``trace.jsonl``), and ``summary.json`` holding merged + per-shard
-    metric registries, aggregator conservation accounting, and the flow
-    ids whose span timelines were stitched across both shards. The gate
-    then also fails on any trace conservation violation or if no
-    cross-boundary flow was stitched.
-    """
-    from repro.experiments.sharded import (
-        SUPPORTED_SHARDS, TwoDCWorkload, check_equivalence,
-    )
-
-    if args.shards not in SUPPORTED_SHARDS or args.shards < 2:
-        parser.error(f"--shards must be 2 (one engine per DC), "
-                     f"got {args.shards}")
-    workload = TwoDCWorkload(
-        seed=args.seed if args.seed is not None else 1,
-        max_flows=400 if quick else 2000,
-    )
-    trace_dir = trace_path = None
-    sharded_dir = out / "telemetry" / "sharded"
-    if args.telemetry:
-        sharded_dir.mkdir(parents=True, exist_ok=True)
-        trace_dir = str(sharded_dir / "workers")
-        trace_path = str(sharded_dir / "trace.jsonl")
-    stream = _open_stream(args, out, "sharded-two-dc", 1)
-    try:
-        report = check_equivalence(
-            workload, processes=True, telemetry=args.telemetry,
-            trace_dir=trace_dir, trace_path=trace_path,
-        )
-        sharded = report["sharded"]
-        single = report["single"]
-        trace_violations = sharded.get("trace_violations", [])
-        stitched: List[int] = []
-        if args.telemetry:
-            from repro.obs import cross_shard_flows
-
-            trace = sharded["_trace"]
-            stitched = cross_shard_flows(trace.merged())
-            (sharded_dir / "summary.json").write_text(_summary_json({
-                "telemetry": sharded["telemetry"],
-                "trace": sharded["trace_summary"],
-                "trace_violations": trace_violations,
-                "cross_shard_flows": stitched,
-            }) + "\n")
-        gate_ok = (report["equivalent"] and not trace_violations
-                   and (not args.telemetry or bool(stitched)))
-        if stream is not None:
-            stream.point("sharded/two-dc-equivalence",
-                         "ok" if gate_ok else "error",
-                         sharded["wall_s"] + single["wall_s"])
-            stream.campaign_end(1, 0 if gate_ok else 1)
-    finally:
-        if stream is not None:
-            stream.close()
-    summary = {
-        "equivalent": report["equivalent"],
-        "flows": report["flows"],
-        "mismatches": report["mismatches"],
-        "violations": report["violations"],
-        "trace_violations": trace_violations,
-        "cross_shard_flows": len(stitched),
-        "shards": args.shards,
-        "rounds": sharded["rounds"],
-        "lookahead_ps": sharded["lookahead_ps"],
-        "sharded_events": sharded["total_events"],
-        "single_events": single["total_events"],
-        "sharded_wall_s": sharded["wall_s"],
-        "single_wall_s": single["wall_s"],
-        "sharded_busy_cpu_s": sharded["busy_cpu_s"],
-        "single_busy_cpu_s": single["busy_cpu_s"],
-    }
-    _write_summary(out, "sharded-two-dc", summary)
-    status = "EQUIVALENT" if report["equivalent"] else "MISMATCH"
-    print(f"[sharded two-DC: {status} over {report['flows']} flows, "
-          f"{sharded['rounds']} sync rounds, "
-          f"{sharded['total_events']} events]")
-    if args.telemetry:
-        print(f"[sharded trace: {sharded['trace_summary']['events_merged']} "
-              f"events merged, {len(trace_violations)} conservation "
-              f"violations, {len(stitched)} cross-shard flows stitched]")
-    for line in report["mismatches"][:20]:
-        print(f"  {line}", file=sys.stderr)
-    for line in report["violations"]:
-        print(f"  {line}", file=sys.stderr)
-    for line in trace_violations:
-        print(f"  {line}", file=sys.stderr)
-    if not gate_ok:
-        raise SystemExit(1)
 
 
 def write_telemetry(telemetry_dir: Path, records, cache: ResultCache) -> None:

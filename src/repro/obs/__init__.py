@@ -42,19 +42,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
     TimeSeries,
     merge_numeric,
-    merge_shard_snapshots,
     metric_key,
     sum_numeric,
 )
 from repro.obs.profile import EngineProfiler, rank_sites
 from repro.obs.spans import SPAN_KINDS, FlowSpans
-from repro.obs.stream import (
-    StreamBufferSink,
-    TraceAggregator,
-    cross_shard_flows,
-    flow_timeline,
-    merge_streams,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -69,18 +61,12 @@ __all__ = [
     "Observability",
     "RingBufferSink",
     "SPAN_KINDS",
-    "StreamBufferSink",
     "TOPICS",
     "TelemetryContext",
     "TimeSeries",
-    "TraceAggregator",
     "active_context",
-    "cross_shard_flows",
     "enable",
-    "flow_timeline",
     "merge_numeric",
-    "merge_shard_snapshots",
-    "merge_streams",
     "metric_key",
     "read_jsonl",
     "sum_numeric",
@@ -103,13 +89,6 @@ class Observability:
         self.events = events
         self.profile = profile
         self.spans = spans
-
-    def set_shard(self, shard: Optional[int]) -> None:
-        """Tag every subsequently emitted event (spans included) with
-        ``shard`` — ProcessShard workers call this so the coordinator's
-        merged trace stays attributable per shard."""
-        if self.events is not None:
-            self.events.shard = shard
 
     def snapshot(self) -> Dict[str, Any]:
         """Counter snapshot + event tally + profile, JSON-ready."""
@@ -135,32 +114,24 @@ def enable(
     ring_size: int = 65536,
     profile: bool = True,
     spans: bool = True,
-    extra_sinks: Optional[List] = None,
 ) -> Observability:
     """Attach a fresh :class:`Observability` to ``sim`` and return it.
 
     ``event_topics`` selects event tracing: None disables it entirely,
     ``"all"`` enables every topic, an iterable enables exactly those.
-    ``event_path`` additionally writes events to a JSONL file, and
-    ``extra_sinks`` appends arbitrary sinks (e.g. a drainable
-    :class:`~repro.obs.stream.StreamBufferSink` for incremental
-    cross-shard streaming). A :class:`~repro.obs.spans.FlowSpans`
-    recorder is created whenever event tracing is on, the log wants the
-    ``"span"`` topic, and ``spans`` is not forced off — with event
-    tracing off (the default) ``obs.spans`` stays None and every hook
-    site is a single pointer test. Must be called before the
-    topology/flows are built — components cache ``sim.obs`` at
-    construction.
+    ``event_path`` additionally writes events to a JSONL file. A
+    :class:`~repro.obs.spans.FlowSpans` recorder is created whenever
+    event tracing is on, the log wants the ``"span"`` topic, and
+    ``spans`` is not forced off — with event tracing off (the default)
+    ``obs.spans`` stays None and every hook site is a single pointer
+    test. Must be called before the topology/flows are built —
+    components cache ``sim.obs`` at construction.
     """
     events = None
     if event_topics is not None:
         sinks: Optional[List] = None
-        if event_path is not None or extra_sinks:
-            sinks = [RingBufferSink(ring_size)]
-            if event_path is not None:
-                sinks.append(JSONLFileSink(event_path))
-            if extra_sinks:
-                sinks.extend(extra_sinks)
+        if event_path is not None:
+            sinks = [RingBufferSink(ring_size), JSONLFileSink(event_path)]
         events = EventLog(topics=event_topics, sinks=sinks,
                           ring_size=ring_size)
     obs = Observability(

@@ -130,9 +130,6 @@ class EventLog:
         self._sinks = list(sinks)
         self.counts: TallyCounter = TallyCounter()
         self.emitted = 0
-        # When set (ProcessShard workers), every emitted event carries a
-        # ``"shard"`` field so merged cross-shard traces stay attributable.
-        self.shard: Optional[int] = None
 
     # -- emission --------------------------------------------------------
 
@@ -145,8 +142,6 @@ class EventLog:
             return
         event = {"topic": topic, "kind": kind}
         event.update(fields)
-        if self.shard is not None:
-            event["shard"] = self.shard
         self.counts[(topic, kind)] += 1
         self.emitted += 1
         for sink in self._sinks:

@@ -235,30 +235,6 @@ def sum_numeric(node: Any) -> float:
     return 0.0
 
 
-def merge_shard_snapshots(by_shard: Dict[Any, Any]) -> Dict[str, Any]:
-    """Merge per-shard telemetry snapshots into one parent summary.
-
-    ``by_shard`` maps shard id -> the worker's ``collect()``/``snapshot``
-    record. Under the replicated-world sharding scheme the remote half of
-    each shard's topology is silent (its senders never start, so every
-    remote-side counter stays 0), which makes plain :func:`merge_numeric`
-    summation the correct aggregation: the merged transport/port counters
-    equal what a single unsharded engine would have reported. Returns::
-
-        {"merged": <summed snapshot>, "by_shard": {"0": ..., "1": ...}}
-
-    sorted by shard id for canonical JSON output.
-    """
-    merged: Any = None
-    per_shard: Dict[str, Any] = {}
-    for shard in sorted(by_shard, key=str):
-        snap = by_shard[shard]
-        per_shard[str(shard)] = snap
-        merged = merge_numeric(merged, snap)
-    return {"merged": merged if merged is not None else {},
-            "by_shard": per_shard}
-
-
 def merge_numeric(a: Any, b: Any) -> Any:
     """Recursively merge two snapshots: numbers add, dicts union-merge,
     anything else keeps the first non-None value. Used to aggregate

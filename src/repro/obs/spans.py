@@ -14,14 +14,7 @@ Spans are emitted on the ``"span"`` event topic the moment they *close*
      "t": 81260000, "outcome": "complete", "fct": 81260000, ...}
 
 ``t0``/``t`` are picosecond open/close timestamps (equal for instant
-spans); when the owning :class:`~repro.obs.events.EventLog` carries a
-shard tag every span also carries ``"shard"``, which is what lets the
-trace aggregator (:mod:`repro.obs.stream`) stitch a flow whose sender
-and receiver live in *different* shards back into one causal timeline:
-sender-side spans (flow/rto/retransmit/cwnd_phase) arrive tagged with
-the source shard, receiver-side spans (first_data, the receiving
-endpoint) with the destination shard, and a ps-ordered merge over the
-flow id reconstructs the crossing.
+spans).
 
 Kinds:
 
@@ -70,7 +63,7 @@ class FlowSpans:
 
     One instance per :class:`~repro.obs.Observability` bundle. All
     methods are cheap dict operations on the flow id; heavy lifting
-    (serialization, sinks, shard tagging) happens in the event log.
+    (serialization, sinks) happens in the event log.
     """
 
     __slots__ = ("_events", "_flows", "_phases", "_endpoints", "opened",
@@ -165,21 +158,13 @@ class FlowSpans:
         t0 = self._endpoints.pop((flow, host), None)
         self._emit("endpoint", flow, t if t0 is None else t0, t, host=host)
 
-    def endpoint_discard(self, flow: int, host: str) -> None:
-        """Forget an open endpoint span as if it was never opened — used
-        when shard workers deactivate the remote half of a replicated
-        world (those registrations never carried traffic and must not
-        show up as leaked ``state: "open"`` spans at flush time)."""
-        if self._endpoints.pop((flow, host), None) is not None:
-            self.opened -= 1
-
     # -- horizon flush -----------------------------------------------------
 
     def flush_open(self, t: int) -> int:
         """Close every still-open span at time ``t`` with ``state:
         "open"`` — called when a run ends at a horizon so in-progress
-        flows still show up in the merged trace (their spans simply
-        end at the horizon). Returns the number of spans flushed."""
+        flows still show up in the trace (their spans simply end at the
+        horizon). Returns the number of spans flushed."""
         flushed = 0
         for flow in sorted(self._phases):
             self._close_phase(flow, t)

@@ -13,13 +13,11 @@ The subpackage is organized bottom-up:
 - :mod:`repro.sim.trace`    -- monitors (queue occupancy, flow rates, drops).
 - :mod:`repro.sim.failures` -- link failure schedules and correlated loss models.
 - :mod:`repro.sim.boundary` -- the PacketSink cross-component handoff protocol.
-- :mod:`repro.sim.shard`    -- shard boundaries + conservative parallel sync.
 - :mod:`repro.sim.pfc`      -- lossless-fabric PFC + CBD deadlock watchdog.
 """
 
 from repro.sim.boundary import PacketSink, WiringError
 from repro.sim.engine import Simulator, EventHandle
-from repro.sim.shard import ShardBoundary
 from repro.sim.packet import Packet, DATA, ACK, NACK
 from repro.sim.units import (
     NS,
@@ -48,7 +46,6 @@ from repro.sim.pfc import (
 __all__ = [
     "PacketSink",
     "WiringError",
-    "ShardBoundary",
     "Simulator",
     "EventHandle",
     "Packet",

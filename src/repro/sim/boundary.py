@@ -8,17 +8,13 @@ the only sanctioned cross-component handoff surface in the simulator:
 - :meth:`repro.sim.host.Host.receive` (endpoint dispatch),
 - :meth:`repro.sim.switch.Switch.receive` (forwarding),
 - :meth:`repro.sim.queues.Port.receive` (enqueue + serialization),
-- :meth:`repro.sim.link.Link.receive` (propagation + loss),
-- :class:`repro.sim.shard.ShardBoundary` egress proxies (cross-shard
-  batching).
+- :meth:`repro.sim.link.Link.receive` (propagation + loss).
 
 Wiring is explicit: a :class:`~repro.sim.link.Link` is connected to its
 delivery sink exactly once via :meth:`~repro.sim.link.Link.connect`
 (double-wiring and unwired use raise :class:`WiringError` instead of
 failing with ``AttributeError`` mid-run), and a
-:class:`~repro.sim.queues.Port`'s downstream sink defaults to its link
-but can be rerouted through :meth:`~repro.sim.queues.Port.divert` — the
-hook shard boundaries (and any future datapath backend) plug into.
+:class:`~repro.sim.queues.Port` always feeds the link it was built on.
 """
 
 from __future__ import annotations
@@ -37,10 +33,10 @@ class WiringError(RuntimeError):
 class PacketSink(Protocol):
     """Anything that can accept a packet handed off by another component.
 
-    The single cross-component handoff surface: hosts, switches, ports,
-    links, and shard boundaries all implement it. ``receive`` may consume,
-    forward, queue, drop, or serialize the packet; the caller relinquishes
-    ownership on call. The return value is unspecified (``Port.receive``
+    The single cross-component handoff surface: hosts, switches, ports
+    and links all implement it. ``receive`` may consume, forward, queue,
+    drop, or serialize the packet; the caller relinquishes ownership on
+    call. The return value is unspecified (``Port.receive``
     reports tail drops with a bool; other sinks return ``None``) — callers
     wanting backpressure must know their sink is a port.
     """

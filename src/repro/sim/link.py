@@ -141,9 +141,8 @@ class Link:
 
         Raises :class:`~repro.sim.boundary.WiringError` on double-wiring
         or a non-sink argument; returns the link for chaining. The sink is
-        immutable afterwards — cross-shard cuts divert at the feeding
-        :class:`~repro.sim.queues.Port`, not here, so a link's delivery
-        target always matches its name.
+        immutable afterwards, so a link's delivery target always matches
+        its name.
         """
         if self._sink is not None:
             raise WiringError(

@@ -17,21 +17,20 @@ one of its outgoing links. It models:
 
 Steady-state FIFO work is **batch-advanced**: when no decision can change
 between a packet's enqueue and its serialization finish — coalesced link,
-no loss model, no PFC, no INT stamping, no diverted sink — the port
-computes the finish time at *enqueue* (exact integer arithmetic, identical
-to the per-packet path's) and hands the packet straight to the link's
-in-flight deque, so the engine never runs a per-packet finish callback.
+no loss model, no PFC, no INT stamping — the port computes the finish
+time at *enqueue* (exact integer arithmetic, identical to the per-packet
+path's) and hands the packet straight to the link's in-flight deque, so
+the engine never runs a per-packet finish callback.
 The pending finishes live in a drain *schedule* ``(finish_ps, size)``;
 occupancy/tx counters are settled lazily from it (every read goes through
 a settle), and each settled entry credits one engine event so
 ``events_executed`` matches the reference path. Any boundary where a
-decision could change — PFC arming, ``divert()``, INT enablement, link
-failure or loss-model attach, a control frame racing the schedule —
-*rolls back*: unfinished packets return to the FIFO and re-serialize via
-the reference per-packet path, keeping behavior event-for-event
-identical. Set the module flag ``BATCH_DRAIN = False`` before
-constructing ports to force the reference path everywhere (the equality
-tests diff the two).
+decision could change — PFC arming, INT enablement, link failure or
+loss-model attach, a control frame racing the schedule — *rolls back*:
+unfinished packets return to the FIFO and re-serialize via the reference
+per-packet path, keeping behavior event-for-event identical. Set the
+module flag ``BATCH_DRAIN = False`` before constructing ports to force
+the reference path everywhere (the equality tests diff the two).
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from heapq import heappush
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.boundary import PacketSink, check_sink
 from repro.sim.packet import Packet
 from repro.sim.units import gbps_to_bytes_per_ps
 
@@ -159,7 +157,6 @@ class Port:
     __slots__ = (
         "sim",
         "link",
-        "_sink",
         "name",
         "capacity_bytes",
         "red",
@@ -216,9 +213,6 @@ class Port:
             raise ValueError("queue capacity must be positive")
         self.sim = sim
         self.link = link
-        # Downstream PacketSink fed by _finish_tx. Defaults to the link;
-        # shard boundaries re-route it through divert().
-        self._sink = link
         self.name = name or f"port->{link.name}"
         self.capacity_bytes = capacity_bytes
         self.red = red or REDConfig()
@@ -328,27 +322,6 @@ class Port:
         # times (the reference path stamps in _finish_tx).
         self._rollback()
         self.int_t_ref_ps = t_ref_ps
-
-    # -- wiring ----------------------------------------------------------
-
-    def divert(self, sink: "PacketSink") -> "PacketSink":
-        """Replace the downstream sink; returns the previous one.
-
-        The sanctioned rewiring point of the handoff boundary: serialized
-        packets flow to ``sink.receive`` instead of the port's link. Shard
-        boundaries use it to capture cross-cut traffic at transmit time
-        (so loss-model draws and telemetry on the original link are
-        bypassed together — the far shard replays delivery). Normal
-        topology wiring never calls this.
-        """
-        old = self._sink
-        # Committed-but-unfinished packets re-serialize and reach the
-        # NEW sink at their finish times, exactly as the reference
-        # path's _finish_tx would; packets already on the wire keep
-        # propagating to the link's own sink.
-        self._rollback()
-        self._sink = check_sink(sink, f"port {self.name}.divert")
-        return old
 
     # -- datapath --------------------------------------------------------
 
@@ -512,8 +485,8 @@ class Port:
     def _refresh_batch(self) -> bool:
         """(Re)compute batch-advance eligibility. True only when nothing
         can alter a packet's fate between enqueue and serialization
-        finish: coalesced clean up-link wired straight through (no
-        divert), no PFC, no INT stamping, not paused."""
+        finish: coalesced clean wired up-link, no PFC, no INT stamping,
+        not paused."""
         link = self.link
         ok = bool(
             BATCH_DRAIN
@@ -521,7 +494,6 @@ class Port:
             and link.up
             and link._loss_model is None
             and link._sink is not None
-            and self._sink is link
             and not self.pfc_enabled
             and self.pfc is None
             and self.int_t_ref_ps is None
@@ -574,7 +546,7 @@ class Port:
         self.tx_bytes += size
         if self.int_t_ref_ps is not None:
             self._stamp_int(pkt)
-        self._sink.receive(pkt)
+        self.link.receive(pkt)
         pfc = self.pfc
         if (pfc is not None and self._xoff
                 and self.bytes_queued <= self._xon_bytes):

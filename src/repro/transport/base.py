@@ -267,8 +267,6 @@ class Receiver:
             return
         self.rx_data_pkts += 1
         if self.rx_data_pkts == 1 and self._spans is not None:
-            # Receiver-side span: in a sharded run this is emitted by the
-            # destination shard, stitching the flow across the boundary.
             self._spans.first_data(self.flow_id, self.sim.now, seq=pkt.seq)
         self._last_rx_ps = self.sim.now
         if self.idle_timeout_ps is not None and self._idle_handle is None:
@@ -973,9 +971,8 @@ def start_flow(
     sender.receiver = receiver
     when = sim.now if start_ps is None else start_ps
     sender.stats.start_ps = when
-    # Kept on the sender until it fires, so a shard worker can deactivate
-    # a flow owned by another shard and a terminal transition that comes
-    # first (host crash) cancels it.
+    # Kept on the sender until it fires, so a terminal transition that
+    # comes first (host crash) cancels it.
     sender.start_handle = sim.at(when, sender.start)
     return sender
 

@@ -79,7 +79,6 @@ class TestPacketBoundary:
     def test_every_forwarding_component_is_a_packet_sink(self):
         from repro.sim import Host, Link, PacketSink, Port, Switch
         from repro.sim.engine import Simulator
-        from repro.sim.shard import BoundaryEgress, ShardBoundary
 
         sim = Simulator()
         link = Link(sim, 100.0, 1000)
@@ -88,18 +87,14 @@ class TestPacketBoundary:
             (Port, Port(sim, link, capacity_bytes=64 * 1024)),
             (Switch, Switch(sim, 0, "sw0")),
             (Host, Host(sim, 1, "h0")),
-            (BoundaryEgress, BoundaryEgress(ShardBoundary(sim, 0), link)),
         ]:
             assert isinstance(instance, PacketSink), cls.__name__
 
     def test_public_entry_points_are_exported(self):
-        import repro.experiments as experiments
         import repro.sim as sim_pkg
 
-        for name in ("PacketSink", "WiringError", "ShardBoundary"):
+        for name in ("PacketSink", "WiringError"):
             assert name in sim_pkg.__all__
-        for name in ("TwoDCWorkload", "run_sharded", "check_equivalence"):
-            assert name in experiments.__all__
 
     def test_no_handoffs_bypass_the_sink_protocol(self):
         """No cross-component packet handoff may poke a peer's internals.
@@ -112,8 +107,7 @@ class TestPacketBoundary:
         src = pathlib.Path(repro.__file__).resolve().parent
         # The sink implementations and the boundary layer itself define
         # these operations; everyone else must go through receive().
-        allowed = {"sim/link.py", "sim/queues.py", "sim/boundary.py",
-                   "sim/shard.py"}
+        allowed = {"sim/link.py", "sim/queues.py", "sim/boundary.py"}
         bypasses = []
         patterns = [
             # Link rewiring (self.dst = ... is a component initialising

@@ -326,7 +326,7 @@ class TestFlowFootprint:
 
     @pytest.mark.parametrize("launch", [launch_plain, launch_rc])
     def test_cancelled_start_leaves_a_descriptor(self, launch):
-        """What a shard worker does to a flow another shard owns."""
+        """A flow whose scheduled start is cancelled never allocates."""
         sim = Simulator()
         topo = small_dumbbell(sim)
         sender = launch(sim, topo, 256 * KIB, start_ps=50 * US)
@@ -441,7 +441,7 @@ class TestLazyRng:
 
 def test_importing_the_simulator_does_not_load_numpy():
     """Nor, importing only ``repro.sim``, the process machinery that the
-    sharded and ``--jobs`` runners import where they use it."""
+    ``--jobs`` runner imports where it uses it."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     for code in (

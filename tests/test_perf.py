@@ -290,14 +290,15 @@ class TestDeterminism:
 
 
 class _TraceSink:
-    """Records (arrival time, seq, ecn): the full observable delivery."""
+    """Records (arrival time, seq, ecn, INT stamp): the full observable
+    delivery."""
 
     def __init__(self, sim):
         self.sim = sim
         self.got = []
 
     def receive(self, pkt):
-        self.got.append((self.sim.now, pkt.seq, pkt.ecn))
+        self.got.append((self.sim.now, pkt.seq, pkt.ecn, pkt.int_util))
 
 
 def _burst_trace(batch, actions=(), npkts=40, gap_ps=49_991,
@@ -354,12 +355,15 @@ def _pfc_resume(state):
     state["port"].resume()
 
 
-def _divert_mid_burst(state):
-    # The diverted sink shares the trace list: arrivals from both sinks
-    # interleave in execution order, which must match the reference.
-    sink2 = _TraceSink(state["sim"])
-    sink2.got = state["sink"].got
-    state["port"].divert(sink2)
+def _loss_model_mid_burst(state):
+    # Packets already on the wire are past the draw; the recalled ones
+    # take it at their serialization finishes, in the reference order.
+    rng = random.Random(1)
+    state["link"].loss_model = lambda pkt, now: rng.random() < 0.2
+
+
+def _enable_int_mid_burst(state):
+    state["port"].enable_int(10 * US)
 
 
 def _fail_mid_burst(state):
@@ -387,14 +391,22 @@ class TestBatchAdvance:
         assert batch == ref
         assert batch[1]["delivered"] == 40
 
-    def test_divert_mid_burst(self):
-        actions = [(500_003, _divert_mid_burst)]
+    def test_loss_model_mid_burst(self):
+        actions = [(500_003, _loss_model_mid_burst)]
         batch = _burst_trace(True, actions=actions)
         ref = _burst_trace(False, actions=actions)
         assert batch == ref
-        # Split burst: some packets crossed the wire, the rest reached
-        # the diverted sink at their (unchanged) serialization finishes.
-        assert 0 < batch[1]["delivered"] < 40
+        assert batch[1]["delivered"] == 32
+
+    def test_enable_int_mid_burst(self):
+        actions = [(500_003, _enable_int_mid_burst)]
+        batch = _burst_trace(True, actions=actions)
+        ref = _burst_trace(False, actions=actions)
+        assert batch == ref
+        # Split burst: packets serialized before the switch carry no
+        # stamp, the recalled ones are stamped at their finishes.
+        stamps = [got[3] for got in batch[0]]
+        assert stamps[0] == 0.0 and max(stamps) > 0.0
 
     def test_link_fail_mid_burst(self):
         actions = [(500_003, _fail_mid_burst)]

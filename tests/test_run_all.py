@@ -14,6 +14,15 @@ class TestArgs:
         with pytest.raises(SystemExit):
             run_all.main(["--only", "fig99"])
 
+    @pytest.mark.parametrize("only", ["", ",", " , "])
+    def test_only_naming_no_experiment_rejected(self, capsys, only):
+        # An empty --only used to fall through to "run everything" and a
+        # lone comma to run nothing and exit 0.
+        with pytest.raises(SystemExit) as exc:
+            run_all.main(["--only", only])
+        assert exc.value.code == 2
+        assert "names no experiment" in capsys.readouterr().err
+
     def test_bad_jobs_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run_all.main(["--only", "fig1", "--jobs", "0"])
@@ -140,8 +149,7 @@ class TestWireCLI:
         assert "choose from" in capsys.readouterr().err
 
     def test_wire_is_mutually_exclusive(self, capsys):
-        for extra in (["--chaos", "smoke"], ["--shards", "2"],
-                      ["--only", "fig1"]):
+        for extra in (["--chaos", "smoke"], ["--only", "fig1"]):
             with pytest.raises(SystemExit) as exc:
                 run_all.main(["--wire", "soak"] + extra)
             assert exc.value.code == 2

@@ -87,13 +87,8 @@ class TestFlowSpansUnit:
         self.spans.endpoint_close(3, 80, "h0")
         (ev,) = spans_of(self.log, "endpoint")
         assert ev["host"] == "h0" and ev["t0"] == 10 and ev["t"] == 80
-        # Discard forgets the other registration as if never opened.
-        self.spans.endpoint_discard(3, "h1")
-        assert self.spans.open_spans == 0
-        assert self.spans.opened == self.spans.closed == 1
-        # Discarding twice is harmless.
-        self.spans.endpoint_discard(3, "h1")
-        assert self.spans.opened == 1
+        assert self.spans.open_spans == 1  # h1 is still registered
+        assert (self.spans.opened, self.spans.closed) == (2, 1)
 
     def test_flush_open_closes_everything_with_open_state(self):
         self.spans.flow_start(1, 0, size=10)

@@ -1,35 +1,13 @@
-"""Cross-shard trace aggregation (repro.obs.stream), the campaign
-progress stream, and the dashboard's incremental consumer.
-
-The load-bearing guarantees:
-
-- the merged trace is canonically ps-ordered and stable: sorted by
-  ``(t, shard, per-shard position)``, so re-merging the same inputs is
-  byte-identical;
-- the aggregator conserves events: everything a shard emitted is
-  received and merged, and any discrepancy surfaces as a violation;
-- a flow whose sender and receiver live in different shards stitches
-  into one timeline (``cross_shard_flows`` finds it);
-- the campaign stream and the dashboard tail agree on the record
-  vocabulary, including torn final lines from a crashed writer.
-"""
+"""The campaign progress stream and the dashboard's incremental
+consumer: they agree on the record vocabulary, including torn final
+lines from a crashed writer."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.experiments.progress import CampaignStream
 from repro.obs.events import read_jsonl
-from repro.obs.stream import (
-    StreamBufferSink,
-    TraceAggregator,
-    cross_shard_flows,
-    flow_timeline,
-    flows_by_shard,
-    merge_streams,
-)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,95 +18,6 @@ def _load_dashboard():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def ev(t, shard, flow, kind="point", **extra):
-    out = {"topic": "span", "kind": kind, "t": t, "flow": flow,
-           "shard": shard}
-    out.update(extra)
-    return out
-
-
-class TestMergeStreams:
-    def test_orders_by_time_then_shard_then_position(self):
-        s0 = [ev(10, 0, 1), ev(30, 0, 1)]
-        s1 = [ev(10, 1, 2), ev(20, 1, 2)]
-        merged = merge_streams([(0, s0), (1, s1)])
-        assert [(e["t"], e["shard"]) for e in merged] == \
-            [(10, 0), (10, 1), (20, 1), (30, 0)]
-
-    def test_stable_within_shard_at_equal_times(self):
-        stream = [ev(5, 0, 1, seq=i) for i in range(4)]
-        merged = merge_streams([(0, stream)])
-        assert [e["seq"] for e in merged] == [0, 1, 2, 3]
-
-    def test_untagged_events_sort_before_shards(self):
-        merged = merge_streams([(None, [ev(7, None, 1)]),
-                                (0, [ev(7, 0, 2)])])
-        assert [e["flow"] for e in merged] == [1, 2]
-
-
-class TestStreamBufferSink:
-    def test_write_drain_cycle(self):
-        sink = StreamBufferSink()
-        sink.write({"t": 1})
-        sink.write({"t": 2})
-        assert len(sink) == 2
-        assert [e["t"] for e in sink.drain()] == [1, 2]
-        assert len(sink) == 0
-        assert sink.drain() == []
-        sink.write({"t": 3})
-        assert [e["t"] for e in sink.drain()] == [3]
-
-
-class TestTraceAggregator:
-    def test_incremental_batches_merge_ordered(self):
-        agg = TraceAggregator()
-        agg.add_events(0, [ev(10, 0, 1), ev(30, 0, 1)])
-        agg.add_events(1, [ev(20, 1, 2)])
-        agg.add_events(0, [ev(40, 0, 1)])
-        assert agg.total_in == 4
-        assert [e["t"] for e in agg.merged()] == [10, 20, 30, 40]
-        summary = agg.summary()
-        assert summary["events_merged"] == 4
-        assert summary["events_in"] == {"0": 3, "1": 1}
-
-    def test_conservation_clean_and_violated(self):
-        agg = TraceAggregator()
-        agg.add_events(0, [ev(1, 0, 1), ev(2, 0, 1)])
-        assert agg.conservation({0: 2}) == []
-        violations = agg.conservation({0: 3, 1: 1})
-        assert len(violations) == 2  # shard 0 short, shard 1 missing
-        assert any("shard 0" in v for v in violations)
-        assert any("shard 1" in v for v in violations)
-
-    def test_write_and_read_back(self, tmp_path):
-        agg = TraceAggregator()
-        agg.add_events(1, [ev(5, 1, 9)])
-        agg.add_events(0, [ev(3, 0, 9)])
-        path = tmp_path / "trace.jsonl"
-        agg.write(path)
-        back = read_jsonl(path)
-        assert [e["t"] for e in back] == [3, 5]
-        # add_file round-trips into a second aggregator.
-        agg2 = TraceAggregator()
-        agg2.add_file("merged", path)
-        assert agg2.total_in == 2
-
-    def test_cross_shard_flow_stitching(self):
-        events = [
-            ev(10, 0, 1, kind="start"),
-            ev(15, 1, 1, kind="first_data"),
-            ev(20, 0, 1, kind="flow", outcome="complete"),
-            ev(12, 0, 2, kind="start"),
-            ev(13, 0, 2, kind="flow"),
-        ]
-        assert cross_shard_flows(events) == [1]
-        by_flow = flows_by_shard(events)
-        assert by_flow[1] == {0, 1} and by_flow[2] == {0}
-        timeline = flow_timeline(events, 1)
-        assert [e["t"] for e in timeline] == [10, 15, 20]
-        assert {e["shard"] for e in timeline} == {0, 1}
 
 
 class TestCampaignStream:
@@ -356,27 +245,3 @@ class TestDashboardConsumer:
         assert dash.main([str(out),
                           "--bench-dir", str(tmp_path / "nb")]) == 0
         assert "sim-to-wire" not in capsys.readouterr().out
-
-
-class TestShardedTelemetryIntegration:
-    def test_inline_two_shard_trace_conserves_and_stitches(self, tmp_path):
-        from repro.experiments.sharded import TwoDCWorkload, run_sharded
-
-        trace_path = tmp_path / "trace.jsonl"
-        result = run_sharded(TwoDCWorkload(max_flows=40), shards=2,
-                             processes=False, telemetry=True,
-                             trace_path=trace_path)
-        assert result["trace_violations"] == []
-        trace = result["_trace"]
-        merged = trace.merged()
-        assert merged  # the campaign actually traced
-        assert [e["t"] for e in merged] == sorted(e["t"] for e in merged)
-        stitched = cross_shard_flows(merged)
-        assert stitched  # at least one inter-DC flow crossed the cut
-        # The written file is the same canonical stream.
-        assert read_jsonl(trace_path) == merged
-        # Worker metric registries merged into the parent summary.
-        telemetry = result["telemetry"]
-        assert set(telemetry["by_shard"]) == {"0", "1"}
-        metrics = telemetry["merged"]["metrics"]["transport"]
-        assert metrics["flows_started"] == 40

@@ -3,13 +3,13 @@
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python tools/dashboard.py <out-dir>            # one-shot
-    PYTHONPATH=src python tools/dashboard.py <out-dir> --follow   # live tail
-    PYTHONPATH=src python tools/dashboard.py <out-dir> --html report.html
+    python tools/dashboard.py <out-dir>            # one-shot
+    python tools/dashboard.py <out-dir> --follow   # live tail
+    python tools/dashboard.py <out-dir> --html report.html
 
 ``<out-dir>`` is the ``--out`` directory of a ``run_all --telemetry``
-invocation. The dashboard is a pure consumer — it never imports the
-simulator's hot path, only reads the files the campaign writes:
+invocation. The dashboard is a pure consumer — it imports nothing from
+``repro``, only reads the files the campaign writes:
 
 - ``telemetry/campaign.jsonl`` — the live progress stream (tailed
   incrementally; torn final lines are retried on the next poll);
@@ -17,17 +17,13 @@ simulator's hot path, only reads the files the campaign writes:
   status);
 - ``summaries/wire-*.json`` — sim-to-wire campaign verdicts (soak
   gates, sim-vs-wire FCT deltas per compare cell);
-- ``summaries/sharded-two-dc.json`` + ``telemetry/sharded/`` — the
-  merged cross-shard trace, its conservation status, and per-flow span
-  timelines (flagged flows get a waterfall);
 - ``BENCH_*.json`` / ``BENCH_history.jsonl`` in ``--bench-dir``
   (default: the repo root) — the committed bench trajectory.
 
 ``--html FILE`` writes a static self-contained report (inline CSS +
 SVG, no external assets). Exit status is the CI gate: non-zero when the
-campaign has failed points, a chaos invariant was violated, a wire
-campaign's soak/compare gates failed, or the trace aggregator reports
-conservation violations.
+campaign has failed points, a chaos invariant was violated, or a wire
+campaign's soak/compare gates failed.
 """
 
 from __future__ import annotations
@@ -41,13 +37,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.obs.stream import flow_timeline  # noqa: E402
-
-#: Span kinds that flag a flow for a waterfall: anything that signals
-#: loss recovery or an abnormal end, plus cross-shard stitches.
-FLAG_KINDS = ("rto", "retransmit")
 
 
 # ---------------------------------------------------------------------------
@@ -203,35 +192,6 @@ def wire_cell_detail(cell: Dict[str, Any]) -> str:
     return detail
 
 
-def sharded_summary(out: Path) -> Optional[Dict[str, Any]]:
-    return read_json(out / "summaries" / "sharded-two-dc.json")
-
-
-def trace_events(out: Path) -> List[Dict[str, Any]]:
-    return read_jsonl_file(out / "telemetry" / "sharded" / "trace.jsonl")
-
-
-def trace_meta(out: Path) -> Optional[Dict[str, Any]]:
-    return read_json(out / "telemetry" / "sharded" / "summary.json")
-
-
-def flagged_flows(events: List[Dict[str, Any]],
-                  cross_shard: List[int], limit: int) -> List[int]:
-    """Flows worth a waterfall: loss recovery, aborts, then cross-shard
-    stitches, in that priority order, deduplicated, capped at *limit*."""
-    flagged: List[int] = []
-    for ev in events:
-        fid = ev.get("flow")
-        if fid is None or fid in flagged:
-            continue
-        if ev.get("kind") in FLAG_KINDS or ev.get("outcome") == "abort":
-            flagged.append(fid)
-    for fid in cross_shard:
-        if fid not in flagged:
-            flagged.append(fid)
-    return flagged[:limit]
-
-
 def bench_records(bench_dir: Path) -> Dict[str, List[Dict[str, Any]]]:
     """Bench trajectory per scenario: history lines first (oldest to
     newest), then the current snapshot if it is not already the last
@@ -370,65 +330,6 @@ def render_wire(rows: List[Tuple[str, Dict[str, Any]]],
                          f"{wire_cell_detail(cell)} [{gate}]")
 
 
-def render_sharded(summary: Optional[Dict[str, Any]],
-                   meta: Optional[Dict[str, Any]],
-                   lines: List[str]) -> None:
-    if summary is None and meta is None:
-        return
-    lines.append("")
-    lines.append("sharded trace:")
-    if summary is not None:
-        eq = "EQUIVALENT" if summary.get("equivalent") else "MISMATCH"
-        lines.append(f"  two-DC equivalence: {eq} over "
-                     f"{summary.get('flows')} flows, "
-                     f"{summary.get('rounds')} sync rounds")
-        violations = summary.get("trace_violations", [])
-        lines.append(f"  conservation: "
-                     f"{'OK' if not violations else 'VIOLATED'}"
-                     + "".join(f"\n    {v}" for v in violations))
-        lines.append(f"  cross-shard flows stitched: "
-                     f"{summary.get('cross_shard_flows', 0)}")
-    if meta is not None:
-        trace = meta.get("trace", {})
-        per_shard = trace.get("events_in", {})
-        shard_bits = ", ".join(f"shard {s}: {n}"
-                               for s, n in sorted(per_shard.items()))
-        lines.append(f"  merged events: {trace.get('events_merged', 0)} "
-                     f"({shard_bits})")
-
-
-def render_waterfall(events: List[Dict[str, Any]], flow: int,
-                     lines: List[str], width: int = 48) -> None:
-    """One flow's span timeline as a text waterfall, shard-tagged."""
-    timeline = flow_timeline(events, flow)
-    if not timeline:
-        return
-    t_lo = min(ev.get("t0", ev["t"]) for ev in timeline)
-    t_hi = max(ev["t"] for ev in timeline)
-    span_ps = (t_hi - t_lo) or 1
-    lines.append(f"  flow {flow} "
-                 f"({(t_hi - t_lo) / 1e9:.3f} ms, "
-                 f"{len(timeline)} events):")
-    for ev in timeline:
-        t0 = ev.get("t0", ev["t"])
-        a = int((t0 - t_lo) / span_ps * (width - 1))
-        b = int((ev["t"] - t_lo) / span_ps * (width - 1))
-        row = ["."] * width
-        if b > a:
-            for i in range(a, b + 1):
-                row[i] = "="
-        else:
-            row[a] = "|"
-        label = ev.get("kind", ev.get("topic", "?"))
-        if ev.get("phase"):
-            label = f"{label}:{ev['phase']}"
-        if ev.get("outcome"):
-            label = f"{label}:{ev['outcome']}"
-        shard = ev.get("shard")
-        tag = f"s{shard}" if shard is not None else "--"
-        lines.append(f"    [{''.join(row)}] {tag} {label}")
-
-
 def _bench_values(runs: List[Dict[str, Any]]) -> List[float]:
     """Numeric series for one bench scenario, tolerating records whose
     rate fields are missing or corrupt (rendered as 0)."""
@@ -455,8 +356,8 @@ def render_bench(series: Dict[str, List[Dict[str, Any]]],
                      f"{sparkline(values)}  ({len(values)} runs)")
 
 
-def render_terminal(out: Path, state: CampaignState, bench_dir: Path,
-                    max_flows: int) -> Tuple[str, bool]:
+def render_terminal(out: Path, state: CampaignState,
+                    bench_dir: Path) -> Tuple[str, bool]:
     """Render the full dashboard; returns (text, gate_ok)."""
     lines: List[str] = [f"== campaign dashboard: {out} =="]
     render_campaign(state, lines)
@@ -465,21 +366,6 @@ def render_terminal(out: Path, state: CampaignState, bench_dir: Path,
     render_pfc(chaos, lines)
     wire = wire_summaries(out)
     render_wire(wire, lines)
-    summary = sharded_summary(out)
-    meta = trace_meta(out)
-    render_sharded(summary, meta, lines)
-
-    events = trace_events(out)
-    if events:
-        cross = (meta or {}).get("cross_shard_flows", [])
-        flows = flagged_flows(events, cross, max_flows)
-        if flows:
-            lines.append("")
-            lines.append(f"flagged flow waterfalls "
-                         f"({len(flows)} of {max_flows} max):")
-            for fid in flows:
-                render_waterfall(events, fid, lines)
-
     render_bench(bench_records(bench_dir), lines)
 
     gate_ok = state.ok
@@ -490,11 +376,6 @@ def render_terminal(out: Path, state: CampaignState, bench_dir: Path,
             gate_ok = False
     for _, data in wire:
         if not wire_gate_ok(data):
-            gate_ok = False
-    if summary is not None:
-        if not summary.get("equivalent", True):
-            gate_ok = False
-        if summary.get("trace_violations"):
             gate_ok = False
     lines.append("")
     lines.append(f"gate: {'OK' if gate_ok else 'FAILED'}")
@@ -523,46 +404,6 @@ def _svg_series(values: List[float], width: int = 360,
             f'points="{points}"/></svg>')
 
 
-def _svg_waterfall(events: List[Dict[str, Any]], flow: int,
-                   width: int = 560) -> str:
-    timeline = flow_timeline(events, flow)
-    if not timeline:
-        return ""
-    t_lo = min(ev.get("t0", ev["t"]) for ev in timeline)
-    t_hi = max(ev["t"] for ev in timeline)
-    span_ps = (t_hi - t_lo) or 1
-    row_h, label_w = 16, 180
-    height = row_h * len(timeline) + 8
-    parts = [f'<svg viewBox="0 0 {width} {height}" class="waterfall">']
-    scale = (width - label_w - 10) / span_ps
-    for i, ev in enumerate(timeline):
-        y = 4 + i * row_h
-        t0 = ev.get("t0", ev["t"])
-        x0 = label_w + (t0 - t_lo) * scale
-        x1 = label_w + (ev["t"] - t_lo) * scale
-        shard = ev.get("shard")
-        color = "#27c" if shard in (0, "0") else (
-            "#c72" if shard in (1, "1") else "#888")
-        label = ev.get("kind", ev.get("topic", "?"))
-        if ev.get("phase"):
-            label += f":{ev['phase']}"
-        if ev.get("outcome"):
-            label += f":{ev['outcome']}"
-        tag = f"s{shard}" if shard is not None else ""
-        parts.append(
-            f'<text x="2" y="{y + 11}" class="lbl">'
-            f'{html.escape(f"{tag} {label}")}</text>')
-        if x1 - x0 >= 2:
-            parts.append(f'<rect x="{x0:.1f}" y="{y + 3}" '
-                         f'width="{x1 - x0:.1f}" height="9" '
-                         f'fill="{color}" opacity="0.7"/>')
-        else:
-            parts.append(f'<circle cx="{x0:.1f}" cy="{y + 7}" r="3" '
-                         f'fill="{color}"/>')
-    parts.append("</svg>")
-    return "".join(parts)
-
-
 HTML_STYLE = """
 body { font: 14px/1.5 system-ui, sans-serif; margin: 2em auto;
        max-width: 64em; color: #222; }
@@ -575,8 +416,7 @@ table { border-collapse: collapse; } td, th { padding: 2px 10px;
          border-radius: 6px; overflow: hidden; display: inline-block;
          vertical-align: middle; }
 .meter div { background: #2a7; height: 100%; }
-.chart, .waterfall { border: 1px solid #eee; margin: 4px 0; }
-.lbl { font: 10px monospace; fill: #444; }
+.chart { border: 1px solid #eee; margin: 4px 0; }
 .mono { font-family: monospace; }
 """
 
@@ -587,7 +427,7 @@ def verdict_html(ok: bool, yes: str = "OK", no: str = "FAILED") -> str:
 
 
 def render_html(out: Path, state: CampaignState, bench_dir: Path,
-                max_flows: int, gate_ok: bool) -> str:
+                gate_ok: bool) -> str:
     esc = html.escape
     parts = ["<!doctype html><html><head><meta charset='utf-8'>",
              f"<title>campaign dashboard: {esc(str(out))}</title>",
@@ -695,48 +535,6 @@ def render_html(out: Path, state: CampaignState, bench_dir: Path,
                     f"</td></tr>")
             parts.append("</table>")
 
-    # Sharded trace.
-    summary = sharded_summary(out)
-    meta = trace_meta(out)
-    if summary is not None or meta is not None:
-        parts.append("<h2>Sharded trace</h2><ul>")
-        if summary is not None:
-            parts.append(
-                f"<li>two-DC equivalence: "
-                f"{verdict_html(bool(summary.get('equivalent')), 'EQUIVALENT', 'MISMATCH')} "
-                f"over {summary.get('flows')} flows, "
-                f"{summary.get('rounds')} sync rounds</li>")
-            violations = summary.get("trace_violations", [])
-            parts.append(f"<li>conservation: "
-                         f"{verdict_html(not violations)}"
-                         + "".join(f"<br><span class='mono'>{esc(v)}"
-                                   f"</span>" for v in violations)
-                         + "</li>")
-            parts.append(f"<li>cross-shard flows stitched: "
-                         f"{summary.get('cross_shard_flows', 0)}</li>")
-        if meta is not None:
-            trace = meta.get("trace", {})
-            per_shard = ", ".join(
-                f"shard {s}: {n}" for s, n in
-                sorted(trace.get("events_in", {}).items()))
-            parts.append(f"<li>merged events: "
-                         f"{trace.get('events_merged', 0)} "
-                         f"({esc(per_shard)})</li>")
-        parts.append("</ul>")
-
-    # Flow waterfalls.
-    events = trace_events(out)
-    if events:
-        cross = (meta or {}).get("cross_shard_flows", [])
-        flows = flagged_flows(events, cross, max_flows)
-        if flows:
-            parts.append("<h2>Flagged flow waterfalls</h2>")
-            parts.append("<p>Blue bars ran on shard 0, orange on shard "
-                         "1; a dot is an instantaneous span.</p>")
-            for fid in flows:
-                parts.append(f"<h3 class='mono'>flow {fid}</h3>")
-                parts.append(_svg_waterfall(events, fid))
-
     # Bench trajectory.
     series = bench_records(bench_dir)
     parts.append("<h2>Bench trajectory</h2>")
@@ -776,8 +574,6 @@ def main(argv=None) -> int:
     parser.add_argument("--bench-dir", default=str(REPO_ROOT),
                         help="directory holding BENCH_*.json and "
                              "BENCH_history.jsonl (default: repo root)")
-    parser.add_argument("--flows", type=int, default=8,
-                        help="max flagged-flow waterfalls to render")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -793,8 +589,7 @@ def main(argv=None) -> int:
     if args.follow:
         try:
             while not state.ended:
-                text, _ = render_terminal(out, state, bench_dir,
-                                          args.flows)
+                text, _ = render_terminal(out, state, bench_dir)
                 print(text, flush=True)
                 print("-" * 60, flush=True)
                 time.sleep(args.interval)
@@ -802,11 +597,11 @@ def main(argv=None) -> int:
         except KeyboardInterrupt:
             pass
 
-    text, gate_ok = render_terminal(out, state, bench_dir, args.flows)
+    text, gate_ok = render_terminal(out, state, bench_dir)
     print(text)
 
     if args.html:
-        report = render_html(out, state, bench_dir, args.flows, gate_ok)
+        report = render_html(out, state, bench_dir, gate_ok)
         Path(args.html).write_text(report, encoding="utf-8")
         print(f"\n[html report -> {args.html}]")
 

@@ -15,9 +15,33 @@ Public API highlights:
 - :mod:`repro.experiments` — one module per paper figure/table.
 """
 
-from repro.core import UnoParams, start_uno_flow
-from repro.sim import Network, Simulator
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # names for tools; at run time they load on first use
+    from repro.core.params import UnoParams
+    from repro.core.uno import start_uno_flow
+    from repro.sim.engine import Simulator
+    from repro.sim.network import Network
 
 __version__ = "1.0.0"
 
 __all__ = ["Simulator", "Network", "UnoParams", "start_uno_flow", "__version__"]
+
+# Every process imports this file on its way to any submodule; a process
+# that only wants ``repro.sim.engine`` must not pay for the Uno stack.
+# The re-exports therefore resolve on first access (PEP 562).
+_LAZY = {
+    "Simulator": "repro.sim.engine",
+    "Network": "repro.sim.network",
+    "UnoParams": "repro.core.params",
+    "start_uno_flow": "repro.core.uno",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

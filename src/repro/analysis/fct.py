@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from math import floor
+from typing import Iterable, List, Sequence
 
 from repro.transport.base import SenderStats
 
@@ -50,6 +49,28 @@ class FCTSummary:
         }
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100), linearly interpolated between
+    order statistics. Equal to ``numpy.percentile(values, q)`` bit for
+    bit (``tests/test_analysis.py`` holds it to that): same virtual index
+    and the same two-sided lerp, which interpolates from the nearer
+    neighbour — that is what makes the last bit agree."""
+    if not values:
+        raise ValueError("percentile of an empty sequence")
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    virtual = last * (q / 100)
+    lo = floor(virtual)
+    a = float(ordered[lo])
+    b = float(ordered[min(lo + 1, last)])
+    t = virtual - lo
+    if t < 0.5:
+        return a + (b - a) * t
+    return b - (b - a) * (1 - t)
+
+
 def summarize_fcts(stats: Iterable[SenderStats]) -> FCTSummary:
     """Mean / median / p99 / max FCT over completed flows.
 
@@ -63,13 +84,14 @@ def summarize_fcts(stats: Iterable[SenderStats]) -> FCTSummary:
         fcts.append(s.fct_ps)
     if not fcts:
         raise ValueError("no flows to summarize")
-    arr = np.asarray(fcts, dtype=np.float64)
+    # FCTs are integer picoseconds: the sum is exact, so the mean is the
+    # correctly rounded quotient whatever the order of the flows.
     return FCTSummary(
         count=len(fcts),
-        mean_ps=float(arr.mean()),
-        p50_ps=float(np.percentile(arr, 50)),
-        p99_ps=float(np.percentile(arr, 99)),
-        max_ps=float(arr.max()),
+        mean_ps=sum(fcts) / len(fcts),
+        p50_ps=percentile(fcts, 50),
+        p99_ps=percentile(fcts, 99),
+        max_ps=float(max(fcts)),
     )
 
 

@@ -97,26 +97,16 @@ class ExperimentPoint:
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON encoding: sorted keys, compact separators,
-    NaN/Inf rejected (a point must map them to ``None`` explicitly),
-    numpy scalars unwrapped. The byte layout of every cache file."""
+    NaN/Inf rejected (a point must map them to ``None`` explicitly).
+    The byte layout of every cache file."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False, default=_unwrap_scalar)
-
-
-def _unwrap_scalar(obj: Any) -> Any:
-    item = getattr(obj, "item", None)  # numpy scalars
-    if callable(item):
-        value = item()
-        if isinstance(value, _SCALAR_TYPES):
-            return value
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}: {obj!r}")
+                      allow_nan=False)
 
 
 def normalize_result(result: Any) -> Dict[str, Any]:
     """Round-trip a raw ``run_point`` return value through canonical
     JSON so every execution mode yields the exact same object shape
-    (tuples become lists, numpy scalars become numbers, dict keys become
-    strings)."""
+    (tuples become lists, dict keys become strings)."""
     if not isinstance(result, dict):
         raise TypeError(
             f"run_point must return a dict, got {type(result).__name__}"

@@ -11,11 +11,10 @@ Slowdown = FCT / ideal FCT of the same flow on an idle path.
 
 from __future__ import annotations
 
+from math import fsum
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.analysis.fct import ideal_fct_ps
+from repro.analysis.fct import ideal_fct_ps, percentile
 from repro.experiments.api import ExperimentPoint
 from repro.experiments.harness import scale_for
 from repro.experiments.realistic import run_realistic
@@ -35,10 +34,9 @@ def _slowdowns(result: Dict) -> Dict[str, float]:
         ideal = ideal_fct_ps(s.size_bytes, base, params.link_gbps,
                              mss=params.mtu_bytes)
         values.append(s.fct_ps / ideal)
-    arr = np.asarray(values)
     return {
-        "mean": float(arr.mean()),
-        "p99": float(np.percentile(arr, 99)),
+        "mean": fsum(values) / len(values),
+        "p99": percentile(values, 99),
     }
 
 

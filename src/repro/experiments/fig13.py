@@ -18,10 +18,10 @@ each with and without (8, 2) erasure coding.
 from __future__ import annotations
 
 import random
+from math import fsum
 from typing import Dict, List, Optional
 
-import numpy as np
-
+from repro.analysis.fct import percentile
 from repro.core.params import UnoParams
 from repro.core.uno import make_unocc
 from repro.core.unolb import UnoLB
@@ -245,8 +245,8 @@ def run_allreduce(lb: str, ec: bool, scale: ExperimentScale,
         raise RuntimeError(f"fig13C {lb}/ec={ec}: allreduce incomplete")
     slowdowns = ar.slowdowns()
     return {
-        "mean_slowdown": float(np.mean(slowdowns)),
-        "p99_slowdown": float(np.percentile(slowdowns, 99)),
+        "mean_slowdown": fsum(slowdowns) / len(slowdowns),
+        "p99_slowdown": percentile(slowdowns, 99),
         "slowdowns": slowdowns,
     }
 
@@ -314,7 +314,7 @@ def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
 def report(res: Dict) -> None:
     """Print the paper-vs-measured tables for a results dict."""
     rows_a = [
-        [key, f"{np.mean(v):.2f}", f"{np.max(v):.2f}"]
+        [key, f"{fsum(v) / len(v):.2f}", f"{max(v):.2f}"]
         for key, v in res["A"].items()
     ]
     print_experiment(
@@ -325,7 +325,7 @@ def report(res: Dict) -> None:
         rows_a,
     )
     rows_b = [
-        [key, f"{np.mean(v):.2f}", f"{np.max(v):.2f}"]
+        [key, f"{fsum(v) / len(v):.2f}", f"{max(v):.2f}"]
         for key, v in res["B"].items()
     ]
     print_experiment(

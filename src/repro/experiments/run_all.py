@@ -181,8 +181,9 @@ def main(argv: Optional[List[str]] = None) -> None:
         return
 
     exclusive = [flag for flag, on in (
-        ("--only", args.only is not None), ("--chaos", args.chaos),
-        ("--wire", args.wire),
+        ("--only", args.only is not None),
+        ("--chaos", args.chaos is not None),
+        ("--wire", args.wire is not None),
     ) if on]
     if len(exclusive) > 1:
         parser.error(f"{' and '.join(exclusive)} are mutually exclusive")
@@ -203,10 +204,12 @@ def main(argv: Optional[List[str]] = None) -> None:
     out = Path(args.out)
     cache = ResultCache(out / "points")
 
-    if args.chaos:
+    # ``is not None``, not truthiness: an empty campaign name must reach
+    # campaign_points() and be rejected there, not fall through to ALL.
+    if args.chaos is not None:
         run_chaos_campaign(args, parser, quick, out, cache)
         return
-    if args.wire:
+    if args.wire is not None:
         run_wire_campaign(args, parser, quick, out, cache)
         return
 

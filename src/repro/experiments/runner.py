@@ -27,6 +27,7 @@ way inline, in a worker, or read back from disk.
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 import traceback
@@ -180,6 +181,14 @@ def _run_inline(points, todo, records, cache, printer, telemetry,
         record.elapsed_s = time.monotonic() - t0
         record.telemetry = telem
         _commit(record, records, i, cache, printer, final, stream)
+        # One world resident: the point's Simulator/Network is a few
+        # thousand objects tied in cycles (ports <-> links <-> switches,
+        # bound-method callbacks), so dropping the last reference frees
+        # nothing, and the allocator cannot know a world just died: a
+        # simulation allocates and frees in balance, which almost never
+        # trips the gen-2 threshold. Without this, finished worlds pile
+        # up for the rest of the process (pool workers exit instead).
+        gc.collect()
 
 
 def _execute_one(point, telemetry):

@@ -16,32 +16,36 @@ The subpackage is organized bottom-up:
 - :mod:`repro.sim.pfc`      -- lossless-fabric PFC + CBD deadlock watchdog.
 """
 
-from repro.sim.boundary import PacketSink, WiringError
-from repro.sim.engine import Simulator, EventHandle
-from repro.sim.packet import Packet, DATA, ACK, NACK
-from repro.sim.units import (
-    NS,
-    US,
-    MS,
-    SEC,
-    KIB,
-    MIB,
-    GIB,
-    ser_time_ps,
-    bdp_bytes,
-    gbps_to_bytes_per_ps,
-)
-from repro.sim.network import Network
-from repro.sim.link import Link
-from repro.sim.queues import Port, REDConfig, PhantomQueueConfig
-from repro.sim.switch import Switch
-from repro.sim.host import Host
-from repro.sim.pfc import (
-    DeadlockWatchdog,
-    PFCConfig,
-    PFCController,
-    enable_pfc,
-)
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # names for tools; at run time they load on first use
+    from repro.sim.boundary import PacketSink, WiringError
+    from repro.sim.engine import Simulator, EventHandle
+    from repro.sim.packet import Packet, DATA, ACK, NACK
+    from repro.sim.units import (
+        NS,
+        US,
+        MS,
+        SEC,
+        KIB,
+        MIB,
+        GIB,
+        ser_time_ps,
+        bdp_bytes,
+        gbps_to_bytes_per_ps,
+    )
+    from repro.sim.network import Network
+    from repro.sim.link import Link
+    from repro.sim.queues import Port, REDConfig, PhantomQueueConfig
+    from repro.sim.switch import Switch
+    from repro.sim.host import Host
+    from repro.sim.pfc import (
+        DeadlockWatchdog,
+        PFCConfig,
+        PFCController,
+        enable_pfc,
+    )
 
 __all__ = [
     "PacketSink",
@@ -74,3 +78,34 @@ __all__ = [
     "PFCController",
     "enable_pfc",
 ]
+
+# ``from repro.sim.engine import Simulator`` runs this file first; it must
+# not drag in queues, switches, hosts and PFC for a process that only
+# wants the event loop. Each re-export resolves on first access (PEP 562).
+_LAZY = {
+    name: module
+    for module, names in {
+        "repro.sim.boundary": ("PacketSink", "WiringError"),
+        "repro.sim.engine": ("Simulator", "EventHandle"),
+        "repro.sim.packet": ("Packet", "DATA", "ACK", "NACK"),
+        "repro.sim.units": ("NS", "US", "MS", "SEC", "KIB", "MIB", "GIB",
+                            "ser_time_ps", "bdp_bytes",
+                            "gbps_to_bytes_per_ps"),
+        "repro.sim.network": ("Network",),
+        "repro.sim.link": ("Link",),
+        "repro.sim.queues": ("Port", "REDConfig", "PhantomQueueConfig"),
+        "repro.sim.switch": ("Switch",),
+        "repro.sim.host": ("Host",),
+        "repro.sim.pfc": ("DeadlockWatchdog", "PFCConfig", "PFCController",
+                          "enable_pfc"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(module), name)
+    return value

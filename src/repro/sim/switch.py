@@ -213,7 +213,14 @@ class Switch(FailureDomain):
             port = choices[idx % n]
             self.multipath_pkts += 1
         else:
-            port = choices[self._rng.randrange(n)]
+            # rng.randrange(n) without its two Python frames: the same
+            # rejection sampling over the same getrandbits draws.
+            getrandbits = self._rng.getrandbits
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            port = choices[r]
             self.sprayed_pkts += 1
         qcn = self.qcn
         if (

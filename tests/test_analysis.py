@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.fairness import convergence_time_ps, jain_index, jain_series
 from repro.analysis.fct import (
     FCTSummary,
     ideal_fct_ps,
+    percentile,
     slowdowns,
     split_intra_inter,
     summarize_fcts,
@@ -41,6 +44,47 @@ class TestSummaries:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize_fcts([])
+
+    # Integer picoseconds with ties: a small pool makes repeated values
+    # likely, the wide range exercises the last bit of the interpolation.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fcts=st.one_of(
+            st.lists(st.integers(1, 10**13), min_size=1, max_size=300),
+            st.lists(st.sampled_from([7, 7_000_001, 10**9 + 3, 10**12 + 1]),
+                     min_size=1, max_size=300),
+        ),
+        q=st.one_of(st.sampled_from([0, 50, 99, 100]),
+                    st.floats(0, 100, allow_nan=False)),
+    )
+    def test_mean_and_percentile_equal_numpy_bit_for_bit(self, fcts, q):
+        """numpy left the figure path; the stored numbers must not have
+        moved. numpy is the reference here, exact equality the bar."""
+        np = pytest.importorskip("numpy")
+        arr = np.asarray(fcts, dtype=np.float64)
+        assert percentile(fcts, q) == float(np.percentile(arr, q))
+        stats = [stat(0, flow_id=i) for i in range(len(fcts))]
+        for record, fct in zip(stats, fcts):
+            record.finish_ps = fct
+        got = summarize_fcts(stats)
+        assert got.mean_ps == float(arr.mean())
+        assert got.p50_ps == float(np.percentile(arr, 50))
+        assert got.p99_ps == float(np.percentile(arr, 99))
+        assert got.max_ps == float(arr.max())
+
+    @settings(max_examples=200, deadline=None)
+    @given(slowdowns=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=300),
+           q=st.floats(0, 100, allow_nan=False))
+    def test_percentile_of_floats_equals_numpy(self, slowdowns, q):
+        """fig11 / fig13 take the p99 of float slowdowns with it."""
+        np = pytest.importorskip("numpy")
+        assert percentile(slowdowns, q) == float(np.percentile(slowdowns, q))
+
+    def test_percentile_rejects_empty_and_out_of_range(self):
+        with pytest.raises(ValueError):
+            percentile([], 50)
+        with pytest.raises(ValueError):
+            percentile([1, 2], 101)
 
     def test_split_intra_inter(self):
         stats = [stat(1), stat(2, inter=True), stat(3)]

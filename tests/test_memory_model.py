@@ -440,15 +440,33 @@ class TestLazyRng:
 
 
 def test_importing_the_simulator_does_not_load_numpy():
-    """Nor, importing only ``repro.sim``, the process machinery that the
-    ``--jobs`` runner imports where it uses it."""
+    """Nor does importing every figure module and running a point (only
+    ``repro.coding``'s field arithmetic needs numpy); nor, importing only
+    ``repro.sim``, the process machinery that the ``--jobs`` runner
+    imports where it uses it; and the event loop alone loads none of the
+    stack above it."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     for code in (
         "import sys, repro, repro.experiments.harness; "
         "sys.exit('numpy' in sys.modules)",
+        # Every figure/table module, then one fig8 cell through the
+        # runner (1 MiB flows: the import graph of a quick point at a
+        # fraction of its wall).
+        "import sys, importlib; "
+        "from repro.experiments.api import EXPERIMENTS, ExperimentPoint; "
+        "from repro.experiments.runner import run_points, raise_failures; "
+        "[importlib.import_module('repro.experiments.' + n) "
+        " for n in EXPERIMENTS + ['realistic', 'chaos', 'wire', 'run_all']]; "
+        "point = importlib.import_module('repro.experiments.fig8').points()[0]; "
+        "raise_failures(run_points([ExperimentPoint(point.experiment, "
+        " point.name, dict(point.cfg, flow_bytes=1 << 20), point.seed)])); "
+        "sys.exit('numpy' in sys.modules)",
         "import sys, repro.sim; "
         "sys.exit('multiprocessing' in sys.modules or 'socket' in sys.modules)",
+        "import sys; from repro.sim.engine import Simulator; "
+        "sys.exit(any(m.startswith(('repro.core', 'repro.transport', "
+        "'repro.topology')) for m in sys.modules))",
     ):
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0, code

@@ -23,6 +23,30 @@ class TestArgs:
         assert exc.value.code == 2
         assert "names no experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--chaos", "--wire"])
+    @pytest.mark.parametrize("name", ["", " "])
+    def test_empty_campaign_name_rejected(self, capsys, monkeypatch,
+                                          tmp_path, flag, name):
+        # A falsy campaign name used to be "no campaign": it fell
+        # through to every quick paper point (stubbed here so that a
+        # regression fails at once instead of simulating for minutes).
+        def fell_through(*args, **kwargs):
+            raise AssertionError(f"{flag} {name!r} ran the paper points")
+
+        monkeypatch.setattr(run_all, "run_points", fell_through)
+        with pytest.raises(SystemExit) as exc:
+            run_all.main([flag, name, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unknown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--chaos", "--wire"])
+    def test_empty_campaign_name_is_still_exclusive_with_only(self, capsys,
+                                                              flag):
+        with pytest.raises(SystemExit) as exc:
+            run_all.main([flag, "", "--only", "fig1"])
+        assert exc.value.code == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
     def test_bad_jobs_rejected(self, capsys):
         with pytest.raises(SystemExit):
             run_all.main(["--only", "fig1", "--jobs", "0"])

@@ -360,3 +360,41 @@ class TestRunnerRetries:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):
             run_points([], retries=-1)
+
+
+class TestOneWorldResident:
+    def test_finished_world_is_released_before_the_next_point(
+            self, monkeypatch):
+        """Inline sweeps hold one world at a time: a finished point's
+        Simulator (and the cyclic Network hanging off it) is reclaimed at
+        the point boundary, not whenever a gen-2 collection happens by."""
+        import weakref
+
+        from repro.experiments import fig8
+        from repro.sim.engine import Simulator
+
+        worlds = []            # one weakref per Simulator a point built
+        alive_at_start = []    # per point: which earlier worlds survive
+
+        def tracked_simulator():
+            sim = Simulator()
+            worlds.append(weakref.ref(sim))
+            return sim
+
+        real_run_point = fig8.run_point
+
+        def run_point(point):
+            alive_at_start.append([ref() is not None for ref in worlds])
+            return real_run_point(point)
+
+        monkeypatch.setattr(fig8, "Simulator", tracked_simulator)
+        monkeypatch.setattr(fig8, "run_point", run_point)
+        # Two real fig8 cells, shrunk to 1 MiB flows to stay cheap.
+        points = [
+            ExperimentPoint(p.experiment, p.name,
+                            dict(p.cfg, flow_bytes=1 << 20), p.seed)
+            for p in fig8.points()[:2]
+        ]
+        raise_failures(run_points(points, jobs=1))
+        assert len(worlds) == 2
+        assert alive_at_start == [[], [False]]

@@ -17,10 +17,8 @@ block positions arrived and applies the MDS property (any x of n suffice)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.coding.reed_solomon import ReedSolomon
+from repro.coding.reed_solomon import ReedSolomon
 
 
 @dataclass(frozen=True)
@@ -80,9 +78,6 @@ class BlockCodec:
     def _rs(self, data_pkts: int) -> ReedSolomon:
         rs = self._rs_cache.get(data_pkts)
         if rs is None:
-            # Imported here so BlockConfig users do not load numpy.
-            from repro.coding.reed_solomon import ReedSolomon
-
             rs = ReedSolomon(data_pkts, self.config.parity_pkts)
             self._rs_cache[data_pkts] = rs
         return rs

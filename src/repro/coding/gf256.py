@@ -1,145 +1,132 @@
-"""GF(2^8) arithmetic, vectorized with NumPy log/antilog tables.
+"""GF(2^8) arithmetic on the standard library.
 
 The field is built over the primitive polynomial x^8+x^4+x^3+x^2+1
-(0x11D), the conventional choice for Reed-Solomon codes. Multiplication
-and division use exp/log lookup tables; matrix routines implement the
-Gaussian elimination needed for systematic code construction and erasure
-decoding.
+(0x11D), the conventional choice for Reed-Solomon codes. Scalars
+multiply and divide through exp/log tables. Vectors — matrix rows and
+packet shards alike — are byte strings: one is scaled by a coefficient
+with ``bytes.translate`` through that coefficient's 256-byte product row
+(built on first use; encoding an (8, 2) block touches 16 of them) and
+two add as the XOR of big ints. The matrix routines implement the
+Gaussian elimination needed for systematic code construction and
+erasure decoding.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
 _PRIMITIVE_POLY = 0x11D
-_FIELD_SIZE = 256
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    exp = np.zeros(2 * _FIELD_SIZE, dtype=np.int32)
-    log = np.zeros(_FIELD_SIZE, dtype=np.int32)
+def _build_tables() -> tuple[list[int], list[int]]:
+    # exp is doubled so exp[log a + log b] needs no modulo.
+    exp = [0] * 510
+    log = [0] * 256
     x = 1
-    for i in range(_FIELD_SIZE - 1):
-        exp[i] = x
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
         log[x] = i
         x <<= 1
         if x & 0x100:
             x ^= _PRIMITIVE_POLY
-    # Duplicate so exp[(a+b) mod 255] lookups avoid the modulo.
-    exp[_FIELD_SIZE - 1 :] = exp[: _FIELD_SIZE + 1]
     return exp, log
 
 
 _EXP, _LOG = _build_tables()
+_MUL_ROWS: dict[int, bytes] = {}  # coefficient -> its 256 products
+
+
+class SingularMatrixError(ValueError):
+    """The matrix has no inverse over GF(256)."""
 
 
 class GF256:
-    """Namespace of GF(2^8) operations on ints and uint8 ndarrays."""
-
-    exp = _EXP
-    log = _LOG
+    """Namespace of GF(2^8) operations on ints and on byte-string vectors."""
 
     @staticmethod
-    def add(a, b):
+    def add(a: int, b: int) -> int:
         """Addition = subtraction = XOR in characteristic 2."""
-        return np.bitwise_xor(a, b)
+        return a ^ b
 
     @staticmethod
-    def mul(a, b):
-        """Elementwise product; handles scalars and arrays, zero-safe."""
-        a_arr = np.asarray(a, dtype=np.uint8)
-        b_arr = np.asarray(b, dtype=np.uint8)
-        out = _EXP[(_LOG[a_arr.astype(np.int32)] + _LOG[b_arr.astype(np.int32)]) % 255]
-        out = np.where((a_arr == 0) | (b_arr == 0), 0, out)
-        if np.isscalar(a) and np.isscalar(b):
-            return int(out)
-        return out.astype(np.uint8)
+    def mul(a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return _EXP[_LOG[a] + _LOG[b]]
 
     @staticmethod
     def inv(a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(256)")
-        return int(_EXP[255 - _LOG[a]])
+        return _EXP[255 - _LOG[a]]
 
     @staticmethod
-    def div(a, b):
-        b_arr = np.asarray(b)
-        if np.any(b_arr == 0):
-            raise ZeroDivisionError("division by zero in GF(256)")
-        a_arr = np.asarray(a, dtype=np.uint8)
-        out = _EXP[(_LOG[a_arr.astype(np.int32)] - _LOG[b_arr.astype(np.int32)]) % 255]
-        out = np.where(a_arr == 0, 0, out)
-        if np.isscalar(a) and np.isscalar(b):
-            return int(out)
-        return out.astype(np.uint8)
+    def div(a: int, b: int) -> int:
+        return GF256.mul(a, GF256.inv(b))
 
     @staticmethod
     def pow(a: int, n: int) -> int:
         if a == 0:
             return 0 if n > 0 else 1
-        return int(_EXP[(_LOG[a] * n) % 255])
-
-    # -- matrix routines ---------------------------------------------------
+        return _EXP[(_LOG[a] * n) % 255]
 
     @staticmethod
-    def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix product over GF(256). Shapes follow NumPy matmul rules."""
-        a = np.asarray(a, dtype=np.uint8)
-        b = np.asarray(b, dtype=np.uint8)
-        if a.shape[-1] != b.shape[0]:
-            raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-        la = _LOG[a.astype(np.int32)]
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        # Accumulate one rank-1 update per inner index; XOR is the field add.
-        for k in range(a.shape[1]):
-            bk = b[k]
-            nz = bk != 0
-            if not np.any(nz):
-                continue
-            prod = _EXP[(la[:, k : k + 1] + _LOG[bk.astype(np.int32)][None, :]) % 255]
-            prod = np.where((a[:, k : k + 1] == 0) | (bk[None, :] == 0), 0, prod)
-            out ^= prod.astype(np.uint8)
-        return out
+    def mul_row(coeff: int) -> bytes:
+        """``row[x] == mul(coeff, x)``, so ``v.translate(row)`` is the
+        vector ``v`` scaled by ``coeff``."""
+        row = _MUL_ROWS.get(coeff)
+        if row is None:
+            mul = GF256.mul
+            row = _MUL_ROWS[coeff] = bytes(mul(coeff, x) for x in range(256))
+        return row
 
     @staticmethod
-    def mat_inv(m: np.ndarray) -> np.ndarray:
+    def combine(coeffs: Sequence[int], vectors: Sequence[bytes]) -> bytes:
+        """The linear combination ``sum(coeffs[i] * vectors[i])`` of
+        equal-length byte strings: one row of a matrix product."""
+        acc = 0
+        for coeff, vec in zip(coeffs, vectors):
+            if coeff:
+                scaled = vec.translate(GF256.mul_row(coeff))
+                acc ^= int.from_bytes(scaled, "little")
+        return acc.to_bytes(len(vectors[0]), "little")
+
+    @staticmethod
+    def mat_mul(a: Sequence[Sequence[int]], b: Sequence[bytes]) -> list[bytes]:
+        """Matrix product over GF(256); the rows of ``b`` may be shards."""
+        if len(a[0]) != len(b):
+            raise ValueError(f"shape mismatch: {len(a[0])} columns @ {len(b)} rows")
+        b = [bytes(row) for row in b]
+        return [GF256.combine(row, b) for row in a]
+
+    @staticmethod
+    def mat_inv(m: Sequence[Sequence[int]]) -> list[bytes]:
         """Inverse of a square matrix over GF(256) by Gauss-Jordan."""
-        m = np.array(m, dtype=np.uint8)
-        n = m.shape[0]
-        if m.shape != (n, n):
-            raise ValueError(f"matrix must be square, got {m.shape}")
-        aug = np.concatenate([m, np.eye(n, dtype=np.uint8)], axis=1)
+        n = len(m)
+        if any(len(row) != n for row in m):
+            raise ValueError(f"matrix must be square, got {n} rows of "
+                             f"{sorted({len(row) for row in m})} columns")
+        aug = [bytes(row) + bytes(i == j for j in range(n))
+               for i, row in enumerate(m)]
         for col in range(n):
-            pivot = None
-            for row in range(col, n):
-                if aug[row, col] != 0:
-                    pivot = row
-                    break
+            pivot = next((r for r in range(col, n) if aug[r][col]), None)
             if pivot is None:
-                raise np.linalg.LinAlgError("singular matrix over GF(256)")
-            if pivot != col:
-                aug[[col, pivot]] = aug[[pivot, col]]
-            inv_p = GF256.inv(int(aug[col, col]))
-            aug[col] = GF256.mul(aug[col], inv_p)
-            for row in range(n):
-                if row != col and aug[row, col] != 0:
-                    factor = int(aug[row, col])
-                    aug[row] ^= GF256.mul(aug[col], factor)
-        return aug[:, n:]
+                raise SingularMatrixError("singular matrix over GF(256)")
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            inv_p = GF256.inv(aug[col][col])
+            pivot_row = aug[col] = aug[col].translate(GF256.mul_row(inv_p))
+            for r in range(n):
+                if r != col and aug[r][col]:
+                    aug[r] = GF256.combine((1, aug[r][col]), (aug[r], pivot_row))
+        return [row[n:] for row in aug]
 
     @staticmethod
-    def vandermonde(rows: int, cols: int) -> np.ndarray:
-        """V[i, j] = alpha^(i*j) with alpha the field generator; any
+    def vandermonde(rows: int, cols: int) -> list[bytes]:
+        """V[i][j] = alpha^(i*j) with alpha the field generator; any
         ``cols`` rows are linearly independent for rows <= 255."""
         if rows > 255:
             raise ValueError("at most 255 rows for distinct evaluation points")
-        v = np.zeros((rows, cols), dtype=np.uint8)
         # Row i evaluates the monomials 1, x, x^2, ... at x_i = alpha^i;
         # the x_i are pairwise distinct for i < 255.
-        for i in range(rows):
-            x = int(_EXP[i])
-            acc = 1
-            for j in range(cols):
-                v[i, j] = acc
-                acc = GF256.mul(acc, x)
-        return v
+        return [bytes(GF256.pow(_EXP[i], j) for j in range(cols))
+                for i in range(rows)]

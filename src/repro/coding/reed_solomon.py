@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.coding.gf256 import GF256
 
 
@@ -38,8 +36,6 @@ class ReedSolomon:
         top_inv = GF256.mat_inv(vand[: self.k])
         self.matrix = GF256.mat_mul(vand, top_inv)  # n x k, top k = identity
 
-    # ------------------------------------------------------------------
-
     def encode(self, data_shards: Sequence[bytes]) -> list[bytes]:
         """Encode k equal-length data shards into n shards (data + parity)."""
         if len(data_shards) != self.k:
@@ -47,13 +43,8 @@ class ReedSolomon:
         lengths = {len(s) for s in data_shards}
         if len(lengths) != 1:
             raise ValueError(f"shards must be equal length, got {sorted(lengths)}")
-        data = np.frombuffer(b"".join(data_shards), dtype=np.uint8).reshape(
-            self.k, -1
-        )
-        if self.m == 0:
-            return [bytes(row) for row in data]
-        parity = GF256.mat_mul(self.matrix[self.k :], data)
-        return [bytes(row) for row in data] + [bytes(row) for row in parity]
+        data = [bytes(s) for s in data_shards]
+        return data + [GF256.combine(row, data) for row in self.matrix[self.k :]]
 
     def decode(self, shards: dict[int, bytes]) -> list[bytes]:
         """Recover the k data shards from any k received shards.
@@ -75,13 +66,12 @@ class ReedSolomon:
         # Fast path: all data shards present.
         if indices == list(range(self.k)):
             return [shards[i] for i in indices]
-        sub = self.matrix[indices]
-        inv = GF256.mat_inv(sub)
-        received = np.frombuffer(
-            b"".join(shards[i] for i in indices), dtype=np.uint8
-        ).reshape(self.k, -1)
-        data = GF256.mat_mul(inv, received)
-        return [bytes(row) for row in data]
+        inv = GF256.mat_inv([self.matrix[i] for i in indices])
+        received = [bytes(shards[i]) for i in indices]
+        # A data shard that arrived is its own answer (its row of ``inv``
+        # is a unit vector); only the erased ones cost a combination.
+        return [shards[j] if j in shards else GF256.combine(inv[j], received)
+                for j in range(self.k)]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ReedSolomon n={self.n} k={self.k}>"

@@ -19,8 +19,7 @@ spans).
 Kinds:
 
 - ``flow`` — the whole lifecycle, opened by ``flow_start`` and closed
-  by the terminal transition with ``outcome`` "complete"/"abort" (or
-  "open" if flushed at a horizon while still running);
+  by the terminal transition with ``outcome`` "complete"/"abort";
 - ``first_data`` — instant: the receiver saw its first data packet;
 - ``rto`` — instant: a retransmission timeout fired (``consecutive``,
   ``backoff``);
@@ -30,7 +29,7 @@ Kinds:
   closed when the window direction flips or the flow terminates;
 - ``endpoint`` — interval: a host-side endpoint registration
   (``host``), from ``Host.register`` to ``Host.unregister`` — leaked
-  registrations show up as ``state: "open"`` at flush time.
+  registrations stay counted in ``open_spans``.
 
 Zero-cost-when-disabled contract: components cache ``obs.spans`` at
 construction exactly like ``obs.events``; with observability off the
@@ -157,27 +156,6 @@ class FlowSpans:
         """The registration ended (Host.unregister); closes the span."""
         t0 = self._endpoints.pop((flow, host), None)
         self._emit("endpoint", flow, t if t0 is None else t0, t, host=host)
-
-    # -- horizon flush -----------------------------------------------------
-
-    def flush_open(self, t: int) -> int:
-        """Close every still-open span at time ``t`` with ``state:
-        "open"`` — called when a run ends at a horizon so in-progress
-        flows still show up in the trace (their spans simply end at the
-        horizon). Returns the number of spans flushed."""
-        flushed = 0
-        for flow in sorted(self._phases):
-            self._close_phase(flow, t)
-            flushed += 1
-        for flow in sorted(self._flows):
-            t0, attrs = self._flows.pop(flow)
-            self._emit("flow", flow, t0, t, outcome="open", **attrs)
-            flushed += 1
-        for (flow, host) in sorted(self._endpoints):
-            t0 = self._endpoints.pop((flow, host))
-            self._emit("endpoint", flow, t0, t, host=host, state="open")
-            flushed += 1
-        return flushed
 
     @property
     def open_spans(self) -> int:

@@ -53,6 +53,13 @@ if TYPE_CHECKING:  # pragma: no cover
 # to force the reference one-callback-per-packet path.
 BATCH_DRAIN = True
 
+# Serialization-memo entries per port before it is cleared. A constant
+# like the ECMP memo's bound: the memoized function is pure, so the
+# bound changes memory, never a finish time. Without it every distinct
+# tail-packet size leaves an entry on every port of its path for the
+# life of the run.
+_SER_CACHE_MAX = 64
+
 
 @dataclass(frozen=True)
 class REDConfig:
@@ -247,8 +254,8 @@ class Port:
         # been settled into tx_bytes/bytes_queued yet; _busy_until is the
         # last committed finish. _batch caches eligibility (None = stale,
         # recompute on next enqueue). _ser_cache memoizes size -> ser_ps
-        # (flows use a handful of distinct sizes; the division is
-        # measurable per packet).
+        # (flows in flight use a handful of distinct sizes; the division
+        # is measurable per packet); at most _SER_CACHE_MAX entries.
         self._sched: deque = deque()
         self._busy_until = 0
         self._batch = None
@@ -404,6 +411,8 @@ class Port:
             try:
                 ser = cache[size]
             except KeyError:
+                if len(cache) >= _SER_CACHE_MAX:  # tail sizes of dead flows
+                    cache.clear()
                 ser = round(size * 8000 / self._gbps)
                 if ser < 1:
                     ser = 1

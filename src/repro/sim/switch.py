@@ -29,8 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover
 _M64 = (1 << 64) - 1
 # ECMP memo entries per switch before it is cleared. A constant, not a
 # knob: the hash is pure, so the bound changes memory and the hit rate,
-# never a forwarding decision.
-_HASH_CACHE_MAX = 4096
+# never a forwarding decision. Sized to the flows in flight through one
+# switch, not to the flows a run launches: an entry outlives its flow
+# until the next clear (census in DESIGN.md "Memory model").
+_HASH_CACHE_MAX = 512
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,7 @@ class Switch(FailureDomain):
         "name",
         "mode",
         "salt",
+        "_salt_mix",
         "ports",
         "nexthops",
         "_rng",
@@ -112,6 +115,7 @@ class Switch(FailureDomain):
         self.name = name
         self.mode = mode
         self.salt = salt
+        self._salt_mix = mix64(salt)  # the salt's half of flow_hash()
         self.ports: Dict[tuple, "Port"] = {}  # (neighbor id, idx) -> port
         self.nexthops: Dict[int, Tuple["Port", ...]] = {}
         self._rng = rng or random.Random(node_id)
@@ -209,7 +213,7 @@ class Switch(FailureDomain):
             except KeyError:
                 if len(cache) >= _HASH_CACHE_MAX:  # sport churn, dead flows
                     cache.clear()
-                idx = cache[key] = mix64(key ^ mix64(self.salt))
+                idx = cache[key] = mix64(key ^ self._salt_mix)
             port = choices[idx % n]
             self.multipath_pkts += 1
         else:

@@ -24,9 +24,11 @@ from repro.experiments.harness import ExperimentScale, build_multidc
 from repro.sim.chaos import check_invariants
 from repro.sim.engine import Simulator
 from repro.sim.failures import BernoulliLoss
+from repro.sim.link import Link
 from repro.sim.packet import ACK, DATA, Packet
-from repro.sim.switch import _HASH_CACHE_MAX, Switch, flow_hash
-from repro.sim.units import KIB, MIB, MS, US
+from repro.sim.queues import _SER_CACHE_MAX, Port
+from repro.sim.switch import _HASH_CACHE_MAX, Switch, flow_hash, mix64
+from repro.sim.units import KIB, MIB, MS, US, ser_time_ps
 from repro.topology.simple import dumbbell
 from repro.transport.base import (
     EMPTY_MAP,
@@ -417,6 +419,43 @@ class TestEcmpMemo:
             assert ports[flow_hash(3, 7, sport, 80, 9) % 4].got.pop() is pkt
         assert len(sw._hash_cache) == 100
 
+    def test_salt_half_of_the_hash_is_computed_once(self):
+        """``_salt_mix`` is ``mix64(salt)`` from construction on, and a
+        cold, a warm and a cleared memo all hold ``flow_hash`` values."""
+        sw = Switch(Simulator(), node_id=1, name="sw", salt=0xBEEF)
+        ports = [_RecordingPort() for _ in range(4)]
+        sw.nexthops[7] = tuple(ports)
+        for state in ("cold", "warm", "cleared"):
+            if state == "cleared":
+                sw._hash_cache.clear()
+            for sport in range(20):
+                pkt = Packet(DATA, 1, 3, 7, seq=0, size=64)
+                pkt.sport, pkt.dport = sport, 80
+                sw.receive(pkt)
+            assert sw._salt_mix == mix64(sw.salt)
+            assert sorted(sw._hash_cache.values()) == sorted(
+                flow_hash(3, 7, sport, 80, sw.salt) for sport in range(20))
+
+
+def test_ser_memo_is_bounded():
+    """A port remembers the serialization time of the packet sizes in
+    flight, not of every tail size that ever crossed it; what it commits
+    is ``ser_time_ps`` back to back either way."""
+    sim = Simulator()
+    link = Link(sim, 25.0, prop_ps=1 * US)
+    link.connect(_RecordingPort())
+    port = Port(sim, link, capacity_bytes=MIB)
+    finish = 0
+    for size in range(64, 264):
+        port.enqueue(Packet(DATA, 1, 3, 7, seq=size, size=size))
+        assert port._batch is True
+        assert len(port._ser_cache) <= _SER_CACHE_MAX
+        finish += ser_time_ps(size, 25.0)
+        assert port._sched[-1] == (finish, size)
+    assert len(port._ser_cache) == 200 % _SER_CACHE_MAX
+    sim.run()
+    assert len(link._sink.got) == 200
+
 
 class TestLazyRng:
     def test_created_on_first_draw_released_when_terminal(self):
@@ -440,11 +479,12 @@ class TestLazyRng:
 
 
 def test_importing_the_simulator_does_not_load_numpy():
-    """Nor does importing every figure module and running a point (only
-    ``repro.coding``'s field arithmetic needs numpy); nor, importing only
-    ``repro.sim``, the process machinery that the ``--jobs`` runner
-    imports where it uses it; and the event loop alone loads none of the
-    stack above it."""
+    """Nor does importing every figure module and running a point; nor
+    ``repro.coding`` encoding and decoding real bytes (importing it
+    builds no multiplication row: those come on first use); nor,
+    importing only ``repro.sim``, the process machinery that the
+    ``--jobs`` runner imports where it uses it; and the event loop alone
+    loads none of the stack above it."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     for code in (
@@ -461,6 +501,18 @@ def test_importing_the_simulator_does_not_load_numpy():
         "point = importlib.import_module('repro.experiments.fig8').points()[0]; "
         "raise_failures(run_points([ExperimentPoint(point.experiment, "
         " point.name, dict(point.cfg, flow_bytes=1 << 20), point.seed)])); "
+        "sys.exit('numpy' in sys.modules)",
+        # (8, 2) blocks of 4 KiB packets over 64 KiB, two erasures each.
+        "import sys, random, repro.coding; "
+        "from repro.coding import gf256, BlockCodec, BlockConfig; "
+        "assert not gf256._MUL_ROWS, 'rows built at import'; "
+        "codec = BlockCodec(BlockConfig(8, 2), 4096); "
+        "msg = random.Random(1).randbytes(64 << 10); "
+        "blocks = codec.encode_message(msg); "
+        "got = [{i: s for i, s in enumerate(b) if i not in (1, 6)} "
+        " for b in blocks]; "
+        "assert codec.decode_message(got, len(msg)) == msg; "
+        "assert gf256._MUL_ROWS; "
         "sys.exit('numpy' in sys.modules)",
         "import sys, repro.sim; "
         "sys.exit('multiprocessing' in sys.modules or 'socket' in sys.modules)",

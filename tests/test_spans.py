@@ -90,20 +90,6 @@ class TestFlowSpansUnit:
         assert self.spans.open_spans == 1  # h1 is still registered
         assert (self.spans.opened, self.spans.closed) == (2, 1)
 
-    def test_flush_open_closes_everything_with_open_state(self):
-        self.spans.flow_start(1, 0, size=10)
-        self.spans.cwnd(1, 5, 1000.0, 2000.0)
-        self.spans.endpoint_open(1, 0, "h0")
-        assert self.spans.open_spans == 3
-        assert self.spans.flush_open(500) == 3
-        assert self.spans.open_spans == 0
-        assert self.spans.opened == self.spans.closed
-        (flow,) = spans_of(self.log, "flow")
-        assert flow["outcome"] == "open" and flow["t"] == 500
-        (endpoint,) = spans_of(self.log, "endpoint")
-        assert endpoint["state"] == "open"
-        assert self.spans.flush_open(600) == 0
-
 
 def _run_incast(event_topics=None, senders=4, loss=False):
     sim = Simulator()

@@ -104,8 +104,7 @@ class TestDashboardConsumer:
             "n_points": 2, "total_violations": 0,
             "all_flows_terminal": True}))
         html_path = tmp_path / "report.html"
-        rc = dash.main([str(out), "--html", str(html_path),
-                        "--bench-dir", str(tmp_path / "nowhere")])
+        rc = dash.main([str(out), "--html", str(html_path)])
         assert rc == 0
         text = capsys.readouterr().out
         assert "campaign demo" in text and "gate: OK" in text
@@ -119,40 +118,21 @@ class TestDashboardConsumer:
 
     def test_empty_out_dir_renders_stubs_and_writes_html(
             self, tmp_path, capsys):
-        """Graceful degradation: no campaign.jsonl, no summaries, no
-        BENCH data — every section renders a stub and the HTML report
+        """Graceful degradation: no campaign.jsonl, no summaries —
+        every section renders a stub and the HTML report
         is still written."""
         dash = _load_dashboard()
         out = tmp_path / "empty_out"
         out.mkdir()
         html_path = tmp_path / "report.html"
-        rc = dash.main([str(out), "--html", str(html_path),
-                        "--bench-dir", str(tmp_path / "nowhere")])
+        rc = dash.main([str(out), "--html", str(html_path)])
         assert rc == 0  # nothing failed; nothing to gate on
         text = capsys.readouterr().out
         assert "(no campaign.jsonl yet)" in text
         assert "(no chaos summaries yet)" in text
-        assert "no BENCH_*.json" in text
         report = html_path.read_text()
         assert "No campaign stream found" in report
         assert "No chaos summaries yet" in report
-        assert "No BENCH_*.json" in report
-
-    def test_corrupt_bench_records_tolerated(self, tmp_path):
-        """Non-dict history lines and rate-less records render as data
-        gaps, not crashes."""
-        dash = _load_dashboard()
-        bench = tmp_path / "bench"
-        bench.mkdir()
-        (bench / "BENCH_history.jsonl").write_text(
-            '"just a string"\n'
-            '[1, 2, 3]\n'
-            '{"name": "fattree_perm", "events_per_sec": 1000.0}\n'
-            '{"name": "fattree_perm", "events_per_sec": "oops"}\n')
-        series = dash.bench_records(bench)
-        assert list(series) == ["fattree_perm"]
-        assert dash._bench_values(series["fattree_perm"]) == [1000.0, 0.0]
-        assert "polyline" in dash._svg_series([1000.0, 0.0])
 
     def test_pfc_section_and_undetected_deadlock_gate(
             self, tmp_path, capsys):
@@ -177,8 +157,7 @@ class TestDashboardConsumer:
         (out / "summaries" / "chaos-lossless.json").write_text(
             json.dumps(summary))
         html_path = tmp_path / "report.html"
-        assert dash.main([str(out), "--html", str(html_path),
-                          "--bench-dir", str(tmp_path / "nb")]) == 0
+        assert dash.main([str(out), "--html", str(html_path)]) == 0
         text = capsys.readouterr().out
         assert "lossless fabric (PFC):" in text
         assert "victim slowdown" in text and "1.4x" in text
@@ -219,8 +198,7 @@ class TestDashboardConsumer:
         (out / "summaries" / "wire-full.json").write_text(
             json.dumps(summary))
         html_path = tmp_path / "report.html"
-        assert dash.main([str(out), "--html", str(html_path),
-                          "--bench-dir", str(tmp_path / "nb")]) == 0
+        assert dash.main([str(out), "--html", str(html_path)]) == 0
         text = capsys.readouterr().out
         assert "sim-to-wire:" in text
         assert "2 aborted (2 idled out, max backoff 8)" in text
@@ -242,6 +220,5 @@ class TestDashboardConsumer:
         dash = _load_dashboard()
         out = tmp_path / "out"
         out.mkdir()
-        assert dash.main([str(out),
-                          "--bench-dir", str(tmp_path / "nb")]) == 0
+        assert dash.main([str(out)]) == 0
         assert "sim-to-wire" not in capsys.readouterr().out

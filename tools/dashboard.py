@@ -16,9 +16,7 @@ invocation. The dashboard is a pure consumer — it imports nothing from
 - ``summaries/chaos-*.json`` — chaos campaign verdicts (invariant
   status);
 - ``summaries/wire-*.json`` — sim-to-wire campaign verdicts (soak
-  gates, sim-vs-wire FCT deltas per compare cell);
-- ``BENCH_*.json`` / ``BENCH_history.jsonl`` in ``--bench-dir``
-  (default: the repo root) — the committed bench trajectory.
+  gates, sim-vs-wire FCT deltas per compare cell).
 
 ``--html FILE`` writes a static self-contained report (inline CSS +
 SVG, no external assets). Exit status is the CI gate: non-zero when the
@@ -35,8 +33,6 @@ import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +137,6 @@ def read_json(path: Path) -> Optional[Dict[str, Any]]:
         return None
 
 
-def read_jsonl_file(path: Path) -> List[Dict[str, Any]]:
-    return JSONLTail(path).poll()
-
-
 def chaos_summaries(out: Path) -> List[Tuple[str, Dict[str, Any]]]:
     rows = []
     for path in sorted((out / "summaries").glob("chaos-*.json")):
@@ -192,48 +184,17 @@ def wire_cell_detail(cell: Dict[str, Any]) -> str:
     return detail
 
 
-def bench_records(bench_dir: Path) -> Dict[str, List[Dict[str, Any]]]:
-    """Bench trajectory per scenario: history lines first (oldest to
-    newest), then the current snapshot if it is not already the last
-    history entry."""
-    series: Dict[str, List[Dict[str, Any]]] = {}
-    for rec in read_jsonl_file(bench_dir / "BENCH_history.jsonl"):
-        if not isinstance(rec, dict):
-            continue  # corrupt history line: tolerate, keep the rest
-        name = rec.get("name")
-        if name:
-            series.setdefault(name, []).append(rec)
-    for path in sorted(bench_dir.glob("BENCH_*.json")):
-        rec = read_json(path)
-        if not isinstance(rec, dict) or "name" not in rec:
-            continue
-        runs = series.setdefault(rec["name"], [])
-        if not runs or runs[-1].get("timestamp") != rec.get("timestamp"):
-            runs.append(rec)
-    return series
-
-
 # ---------------------------------------------------------------------------
 # Terminal rendering
 
 
 BAR_WIDTH = 40
-SPARK = "▁▂▃▄▅▆▇█"
 
 
 def bar(fraction: float, width: int = BAR_WIDTH) -> str:
     fraction = max(0.0, min(1.0, fraction))
     filled = int(round(fraction * width))
     return "#" * filled + "." * (width - filled)
-
-
-def sparkline(values: List[float]) -> str:
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    return "".join(SPARK[int((v - lo) / span * (len(SPARK) - 1))]
-                   for v in values)
 
 
 def render_campaign(state: CampaignState, lines: List[str]) -> None:
@@ -330,34 +291,7 @@ def render_wire(rows: List[Tuple[str, Dict[str, Any]]],
                          f"{wire_cell_detail(cell)} [{gate}]")
 
 
-def _bench_values(runs: List[Dict[str, Any]]) -> List[float]:
-    """Numeric series for one bench scenario, tolerating records whose
-    rate fields are missing or corrupt (rendered as 0)."""
-    values = []
-    for r in runs:
-        v = r.get("builds_per_sec") or r.get("events_per_sec", 0.0)
-        values.append(float(v) if isinstance(v, (int, float)) else 0.0)
-    return values
-
-
-def render_bench(series: Dict[str, List[Dict[str, Any]]],
-                 lines: List[str]) -> None:
-    lines.append("")
-    lines.append("bench trajectory (events/sec; builds/sec for "
-                 "topo_build):")
-    if not series:
-        lines.append("  (no BENCH_*.json / BENCH_history.jsonl records)")
-        return
-    for name in sorted(series):
-        runs = series[name]
-        values = _bench_values(runs)
-        latest = values[-1]
-        lines.append(f"  {name:<22} {latest:>12,.0f}  "
-                     f"{sparkline(values)}  ({len(values)} runs)")
-
-
-def render_terminal(out: Path, state: CampaignState,
-                    bench_dir: Path) -> Tuple[str, bool]:
+def render_terminal(out: Path, state: CampaignState) -> Tuple[str, bool]:
     """Render the full dashboard; returns (text, gate_ok)."""
     lines: List[str] = [f"== campaign dashboard: {out} =="]
     render_campaign(state, lines)
@@ -366,7 +300,6 @@ def render_terminal(out: Path, state: CampaignState,
     render_pfc(chaos, lines)
     wire = wire_summaries(out)
     render_wire(wire, lines)
-    render_bench(bench_records(bench_dir), lines)
 
     gate_ok = state.ok
     for _, data in chaos:
@@ -386,24 +319,6 @@ def render_terminal(out: Path, state: CampaignState,
 # HTML report
 
 
-def _svg_series(values: List[float], width: int = 360,
-                height: int = 80) -> str:
-    """Inline SVG polyline for one bench series (min..max scaled)."""
-    if len(values) < 2:
-        values = list(values) * 2 if values else [0.0, 0.0]
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    pad = 6
-    step = (width - 2 * pad) / (len(values) - 1)
-    points = " ".join(
-        f"{pad + i * step:.1f},"
-        f"{height - pad - (v - lo) / span * (height - 2 * pad):.1f}"
-        for i, v in enumerate(values))
-    return (f'<svg viewBox="0 0 {width} {height}" class="chart">'
-            f'<polyline fill="none" stroke="#2a7" stroke-width="2" '
-            f'points="{points}"/></svg>')
-
-
 HTML_STYLE = """
 body { font: 14px/1.5 system-ui, sans-serif; margin: 2em auto;
        max-width: 64em; color: #222; }
@@ -416,7 +331,6 @@ table { border-collapse: collapse; } td, th { padding: 2px 10px;
          border-radius: 6px; overflow: hidden; display: inline-block;
          vertical-align: middle; }
 .meter div { background: #2a7; height: 100%; }
-.chart { border: 1px solid #eee; margin: 4px 0; }
 .mono { font-family: monospace; }
 """
 
@@ -426,8 +340,7 @@ def verdict_html(ok: bool, yes: str = "OK", no: str = "FAILED") -> str:
             else f'<span class="bad">{no}</span>')
 
 
-def render_html(out: Path, state: CampaignState, bench_dir: Path,
-                gate_ok: bool) -> str:
+def render_html(out: Path, state: CampaignState, gate_ok: bool) -> str:
     esc = html.escape
     parts = ["<!doctype html><html><head><meta charset='utf-8'>",
              f"<title>campaign dashboard: {esc(str(out))}</title>",
@@ -535,23 +448,6 @@ def render_html(out: Path, state: CampaignState, bench_dir: Path,
                     f"</td></tr>")
             parts.append("</table>")
 
-    # Bench trajectory.
-    series = bench_records(bench_dir)
-    parts.append("<h2>Bench trajectory</h2>")
-    if not series:
-        parts.append("<p>No BENCH_*.json / BENCH_history.jsonl records "
-                     "found.</p>")
-    else:
-        for name in sorted(series):
-            runs = series[name]
-            values = _bench_values(runs)
-            unit = ("builds/s" if runs[-1].get("builds_per_sec")
-                    else "events/s")
-            parts.append(
-                f"<p><b>{esc(name)}</b> — latest "
-                f"{values[-1]:,.0f} {unit} over {len(values)} run(s)"
-                f"</p>{_svg_series(values)}")
-
     parts.append("</body></html>")
     return "".join(parts)
 
@@ -571,13 +467,9 @@ def main(argv=None) -> int:
                         help="poll interval in seconds for --follow")
     parser.add_argument("--html", default=None, metavar="FILE",
                         help="also write a static HTML report")
-    parser.add_argument("--bench-dir", default=str(REPO_ROOT),
-                        help="directory holding BENCH_*.json and "
-                             "BENCH_history.jsonl (default: repo root)")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
-    bench_dir = Path(args.bench_dir)
     tail = JSONLTail(out / "telemetry" / "campaign.jsonl")
     state = CampaignState()
 
@@ -589,7 +481,7 @@ def main(argv=None) -> int:
     if args.follow:
         try:
             while not state.ended:
-                text, _ = render_terminal(out, state, bench_dir)
+                text, _ = render_terminal(out, state)
                 print(text, flush=True)
                 print("-" * 60, flush=True)
                 time.sleep(args.interval)
@@ -597,11 +489,11 @@ def main(argv=None) -> int:
         except KeyboardInterrupt:
             pass
 
-    text, gate_ok = render_terminal(out, state, bench_dir)
+    text, gate_ok = render_terminal(out, state)
     print(text)
 
     if args.html:
-        report = render_html(out, state, bench_dir, gate_ok)
+        report = render_html(out, state, gate_ok)
         Path(args.html).write_text(report, encoding="utf-8")
         print(f"\n[html report -> {args.html}]")
 

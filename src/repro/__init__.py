@@ -15,8 +15,9 @@ Public API highlights:
 - :mod:`repro.experiments` — one module per paper figure/table.
 """
 
+import sys
 from importlib import import_module
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 if TYPE_CHECKING:  # names for tools; at run time they load on first use
     from repro.core.params import UnoParams
@@ -28,20 +29,36 @@ __version__ = "1.0.0"
 
 __all__ = ["Simulator", "Network", "UnoParams", "start_uno_flow", "__version__"]
 
-# Every process imports this file on its way to any submodule; a process
-# that only wants ``repro.sim.engine`` must not pay for the Uno stack.
-# The re-exports therefore resolve on first access (PEP 562).
+
+def lazy_exports(package: str,
+                 table: Dict[str, Tuple[str, ...]]) -> Callable[[str], object]:
+    """The PEP 562 ``__getattr__`` every ``repro`` package ``__init__``
+    installs: ``table`` maps a submodule to the names the package
+    re-exports from it, and each name imports its submodule on first
+    access (then sits in the package's namespace like an eager import).
+
+    Every run, chaos cell and benchmark child is a fresh process that
+    imports a package on its way to any one submodule; without this it
+    would compile and execute every sibling the run never calls.
+    """
+    home = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
 _LAZY = {
-    "Simulator": "repro.sim.engine",
-    "Network": "repro.sim.network",
-    "UnoParams": "repro.core.params",
-    "start_uno_flow": "repro.core.uno",
+    "repro.sim.engine": ("Simulator",),
+    "repro.sim.network": ("Network",),
+    "repro.core.params": ("UnoParams",),
+    "repro.core.uno": ("start_uno_flow",),
 }
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(module), name)
-    return value
+__getattr__ = lazy_exports(__name__, _LAZY)

@@ -8,8 +8,20 @@
   (x data + y parity) packet blocks and reassembling it.
 """
 
-from repro.coding.block import BlockCodec, BlockConfig
-from repro.coding.gf256 import GF256
-from repro.coding.reed_solomon import ReedSolomon
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:  # names for tools; at run time they load on first use
+    from repro.coding.block import BlockCodec, BlockConfig
+    from repro.coding.gf256 import GF256
+    from repro.coding.reed_solomon import ReedSolomon
 
 __all__ = ["GF256", "ReedSolomon", "BlockCodec", "BlockConfig"]
+
+_LAZY = {
+    "repro.coding.block": ("BlockCodec", "BlockConfig"),
+    "repro.coding.gf256": ("GF256",),
+    "repro.coding.reed_solomon": ("ReedSolomon",),
+}
+__getattr__ = lazy_exports(__name__, _LAZY)

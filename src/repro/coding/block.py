@@ -17,8 +17,10 @@ block positions arrived and applies the MDS property (any x of n suffice)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.coding.reed_solomon import ReedSolomon
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.coding.reed_solomon import ReedSolomon
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,10 @@ class BlockCodec:
     def _rs(self, data_pkts: int) -> ReedSolomon:
         rs = self._rs_cache.get(data_pkts)
         if rs is None:
+            # Imported here: the simulator uses BlockConfig's arithmetic
+            # only and never loads the field kernels.
+            from repro.coding.reed_solomon import ReedSolomon
+
             rs = ReedSolomon(data_pkts, self.config.parity_pkts)
             self._rs_cache[data_pkts] = rs
         return rs

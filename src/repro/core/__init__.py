@@ -10,11 +10,16 @@
 - :mod:`repro.core.uno` — convenience factories composing the above.
 """
 
-from repro.core.params import UnoParams
-from repro.core.unocc import UnoCC, UnoCCConfig
-from repro.core.unolb import UnoLB
-from repro.core.unorc import UnoRCReceiver, UnoRCSender, UnoRCConfig
-from repro.core.uno import start_uno_flow
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:  # names for tools; at run time they load on first use
+    from repro.core.params import UnoParams
+    from repro.core.unocc import UnoCC, UnoCCConfig
+    from repro.core.unolb import UnoLB
+    from repro.core.unorc import UnoRCReceiver, UnoRCSender, UnoRCConfig
+    from repro.core.uno import start_uno_flow
 
 __all__ = [
     "UnoParams",
@@ -26,3 +31,12 @@ __all__ = [
     "UnoRCConfig",
     "start_uno_flow",
 ]
+
+_LAZY = {
+    "repro.core.params": ("UnoParams",),
+    "repro.core.unocc": ("UnoCC", "UnoCCConfig"),
+    "repro.core.unolb": ("UnoLB",),
+    "repro.core.unorc": ("UnoRCSender", "UnoRCReceiver", "UnoRCConfig"),
+    "repro.core.uno": ("start_uno_flow",),
+}
+__getattr__ = lazy_exports(__name__, _LAZY)

@@ -16,30 +16,35 @@ shape-preserving configuration suitable for a laptop (see DESIGN.md's
 substitution notes); ``quick=False`` approaches the paper's scale.
 """
 
-from repro.experiments.api import (
-    EXPERIMENTS,
-    ExperimentPoint,
-    canonical_json,
-    execute_point,
-    experiment_module,
-)
-from repro.experiments.cache import ResultCache, point_key
-from repro.experiments.harness import (
-    ExperimentScale,
-    FlowLauncher,
-    build_multidc,
-    make_launcher,
-    run_specs,
-    scale_for,
-)
-from repro.experiments.runner import (
-    PointRecord,
-    failures,
-    raise_failures,
-    results_by_name,
-    run_experiment,
-    run_points,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:  # names for tools; at run time they load on first use
+    from repro.experiments.api import (
+        EXPERIMENTS,
+        ExperimentPoint,
+        canonical_json,
+        execute_point,
+        experiment_module,
+    )
+    from repro.experiments.cache import ResultCache, point_key
+    from repro.experiments.harness import (
+        ExperimentScale,
+        FlowLauncher,
+        build_multidc,
+        make_launcher,
+        run_specs,
+        scale_for,
+    )
+    from repro.experiments.runner import (
+        PointRecord,
+        failures,
+        raise_failures,
+        results_by_name,
+        run_experiment,
+        run_points,
+    )
 
 __all__ = [
     "EXPERIMENTS",
@@ -62,3 +67,17 @@ __all__ = [
     "run_specs",
     "scale_for",
 ]
+
+_LAZY = {
+    "repro.experiments.api": ("EXPERIMENTS", "ExperimentPoint",
+                              "canonical_json", "execute_point",
+                              "experiment_module"),
+    "repro.experiments.cache": ("ResultCache", "point_key"),
+    "repro.experiments.harness": ("ExperimentScale", "FlowLauncher",
+                                  "build_multidc", "make_launcher",
+                                  "run_specs", "scale_for"),
+    "repro.experiments.runner": ("PointRecord", "failures", "raise_failures",
+                                 "results_by_name", "run_experiment",
+                                 "run_points"),
+}
+__getattr__ = lazy_exports(__name__, _LAZY)

@@ -15,24 +15,19 @@ Load-balancer/EC ablations (Fig 13) are expressed through ``lb`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
-from repro.coding.block import BlockConfig
 from repro.core.params import UnoParams
-from repro.core.uno import make_unocc, start_uno_flow
+from repro.core.uno import start_uno_flow
 from repro.core.unolb import UnoLB
-from repro.core.unorc import UnoRCConfig, UnoRCReceiver, UnoRCSender
-from repro.lb.plb import PLB
 from repro.sim.engine import Simulator
-from repro.sim.host import Host
 from repro.sim.network import Network
 from repro.sim.units import MIB, MS, US
 from repro.topology.multidc import MultiDC, MultiDCConfig
 from repro.transport.base import AbortPolicy, FixedEntropy, Sender, start_flow
-from repro.transport.bbr import BBR
-from repro.transport.gemini import Gemini, GeminiConfig
-from repro.transport.mprdma import MPRDMA
-from repro.workloads.generator import FlowSpec
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workloads.generator import FlowSpec
 
 SCHEMES = ("uno", "uno_ecmp", "gemini", "mprdma_bbr")
 PHANTOM_SCHEMES = {"uno", "uno_ecmp"}
@@ -126,7 +121,7 @@ def build_multidc(
 
 
 # A launcher starts one flow: (spec, flow_index, on_complete) -> Sender.
-FlowLauncher = Callable[[FlowSpec, int, Callable[[Sender], None]], Sender]
+FlowLauncher = Callable[["FlowSpec", int, Callable[[Sender], None]], Sender]
 
 
 def make_launcher(
@@ -140,7 +135,10 @@ def make_launcher(
     ec: Optional[bool] = None,  # Uno only: erasure coding on inter-DC flows
     abort: Optional[AbortPolicy] = None,  # connection abort policy (all schemes)
 ) -> FlowLauncher:
-    """Build the per-scheme flow launcher used by every experiment."""
+    """Build the per-scheme flow launcher used by every experiment.
+
+    A scheme's baseline controllers (and PLB) are imported here, by the
+    branch that launches them: a run pays for the code it runs."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     net = topo.net
@@ -149,6 +147,8 @@ def make_launcher(
         use_lb_default = scheme == "uno"
         use_ec = (scheme == "uno") if ec is None else ec
         lb_name = lb if lb is not None else ("unolb" if use_lb_default else "ecmp")
+        if lb_name == "plb":
+            from repro.lb.plb import PLB
 
         def launch(spec: FlowSpec, idx: int, on_complete) -> Sender:
             if lb_name == "unolb":
@@ -177,6 +177,7 @@ def make_launcher(
         return launch
 
     if scheme == "gemini":
+        from repro.transport.gemini import Gemini, GeminiConfig
 
         def launch(spec: FlowSpec, idx: int, on_complete) -> Sender:
             cc = Gemini(
@@ -204,6 +205,9 @@ def make_launcher(
         return launch
 
     # mprdma_bbr: separated control loops.
+    from repro.transport.bbr import BBR
+    from repro.transport.mprdma import MPRDMA
+
     def launch(spec: FlowSpec, idx: int, on_complete) -> Sender:
         is_inter = spec.src.dc != spec.dst.dc
         cc = BBR() if is_inter else MPRDMA()

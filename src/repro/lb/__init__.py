@@ -8,9 +8,14 @@
 - UnoLB: :class:`repro.core.unolb.UnoLB` (part of the contribution).
 """
 
-from repro.lb.flowbender import Flowbender, FlowbenderConfig
-from repro.lb.plb import PLB, PLBConfig
-from repro.transport.base import FixedEntropy
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:  # names for tools; at run time they load on first use
+    from repro.lb.flowbender import Flowbender, FlowbenderConfig
+    from repro.lb.plb import PLB, PLBConfig
+    from repro.transport.base import FixedEntropy
 
 
 def set_spraying(net, enable: bool = True) -> None:
@@ -28,3 +33,10 @@ __all__ = [
     "FixedEntropy",
     "set_spraying",
 ]
+
+_LAZY = {
+    "repro.lb.plb": ("PLB", "PLBConfig"),
+    "repro.lb.flowbender": ("Flowbender", "FlowbenderConfig"),
+    "repro.transport.base": ("FixedEntropy",),
+}
+__getattr__ = lazy_exports(__name__, _LAZY)

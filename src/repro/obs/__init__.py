@@ -30,25 +30,26 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
-from repro.obs.events import (
-    EventLog,
-    JSONLFileSink,
-    RingBufferSink,
-    TOPICS,
-    read_jsonl,
-)
-from repro.obs.metrics import (
-    Counter,
-    MetricsRegistry,
-    TimeSeries,
-    merge_numeric,
-    metric_key,
-    sum_numeric,
-)
-from repro.obs.profile import EngineProfiler, rank_sites
-from repro.obs.spans import SPAN_KINDS, FlowSpans
+from repro import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.events import (
+        EventLog,
+        JSONLFileSink,
+        RingBufferSink,
+        TOPICS,
+        read_jsonl,
+    )
+    from repro.obs.metrics import (
+        Counter,
+        MetricsRegistry,
+        TimeSeries,
+        merge_numeric,
+        metric_key,
+        sum_numeric,
+    )
+    from repro.obs.profile import EngineProfiler, rank_sites
+    from repro.obs.spans import SPAN_KINDS, FlowSpans
     from repro.sim.engine import Simulator
 
 __all__ = [
@@ -72,6 +73,18 @@ __all__ = [
     "sum_numeric",
 ]
 
+# Every Simulator imports this package (to find an active context); a
+# run with telemetry off never touches the four layers below it.
+_LAZY = {
+    "repro.obs.events": ("EventLog", "JSONLFileSink", "RingBufferSink",
+                         "TOPICS", "read_jsonl"),
+    "repro.obs.metrics": ("Counter", "MetricsRegistry", "TimeSeries",
+                          "merge_numeric", "metric_key", "sum_numeric"),
+    "repro.obs.profile": ("EngineProfiler", "rank_sites"),
+    "repro.obs.spans": ("SPAN_KINDS", "FlowSpans"),
+}
+__getattr__ = lazy_exports(__name__, _LAZY)
+
 
 class Observability:
     """The per-simulator telemetry bundle (``sim.obs``)."""
@@ -85,7 +98,11 @@ class Observability:
         profile: Optional[EngineProfiler] = None,
         spans: Optional[FlowSpans] = None,
     ):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        if metrics is None:
+            from repro.obs.metrics import MetricsRegistry
+
+            metrics = MetricsRegistry()
+        self.metrics = metrics
         self.events = events
         self.profile = profile
         self.spans = spans
@@ -127,6 +144,10 @@ def enable(
     test. Must be called before the topology/flows are built —
     components cache ``sim.obs`` at construction.
     """
+    from repro.obs.events import EventLog, JSONLFileSink, RingBufferSink
+    from repro.obs.profile import EngineProfiler
+    from repro.obs.spans import FlowSpans
+
     events = None
     if event_topics is not None:
         sinks: Optional[List] = None
@@ -214,6 +235,9 @@ class TelemetryContext:
 
     def collect(self) -> Dict[str, Any]:
         """Merge every attached simulator's snapshot into one record."""
+        from repro.obs.metrics import merge_numeric
+        from repro.obs.profile import rank_sites
+
         metrics: Any = None
         profile: Any = None
         events: Any = None

@@ -16,8 +16,9 @@ The subpackage is organized bottom-up:
 - :mod:`repro.sim.pfc`      -- lossless-fabric PFC + CBD deadlock watchdog.
 """
 
-from importlib import import_module
 from typing import TYPE_CHECKING
+
+from repro import lazy_exports
 
 if TYPE_CHECKING:  # names for tools; at run time they load on first use
     from repro.sim.boundary import PacketSink, WiringError
@@ -83,29 +84,17 @@ __all__ = [
 # not drag in queues, switches, hosts and PFC for a process that only
 # wants the event loop. Each re-export resolves on first access (PEP 562).
 _LAZY = {
-    name: module
-    for module, names in {
-        "repro.sim.boundary": ("PacketSink", "WiringError"),
-        "repro.sim.engine": ("Simulator", "EventHandle"),
-        "repro.sim.packet": ("Packet", "DATA", "ACK", "NACK"),
-        "repro.sim.units": ("NS", "US", "MS", "SEC", "KIB", "MIB", "GIB",
-                            "ser_time_ps", "bdp_bytes",
-                            "gbps_to_bytes_per_ps"),
-        "repro.sim.network": ("Network",),
-        "repro.sim.link": ("Link",),
-        "repro.sim.queues": ("Port", "REDConfig", "PhantomQueueConfig"),
-        "repro.sim.switch": ("Switch",),
-        "repro.sim.host": ("Host",),
-        "repro.sim.pfc": ("DeadlockWatchdog", "PFCConfig", "PFCController",
-                          "enable_pfc"),
-    }.items()
-    for name in names
+    "repro.sim.boundary": ("PacketSink", "WiringError"),
+    "repro.sim.engine": ("Simulator", "EventHandle"),
+    "repro.sim.packet": ("Packet", "DATA", "ACK", "NACK"),
+    "repro.sim.units": ("NS", "US", "MS", "SEC", "KIB", "MIB", "GIB",
+                        "ser_time_ps", "bdp_bytes", "gbps_to_bytes_per_ps"),
+    "repro.sim.network": ("Network",),
+    "repro.sim.link": ("Link",),
+    "repro.sim.queues": ("Port", "REDConfig", "PhantomQueueConfig"),
+    "repro.sim.switch": ("Switch",),
+    "repro.sim.host": ("Host",),
+    "repro.sim.pfc": ("DeadlockWatchdog", "PFCConfig", "PFCController",
+                      "enable_pfc"),
 }
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(module), name)
-    return value
+__getattr__ = lazy_exports(__name__, _LAZY)

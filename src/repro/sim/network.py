@@ -73,7 +73,10 @@ class Network:
         self._by_name: Dict[str, Node] = {}
         # adjacency: node id -> list of (neighbor id, port key)
         self._adj: Dict[int, List[Tuple[int, PortKey]]] = {}
+        # Draws the salt and stream seed of every switch and port, in
+        # construction order; the components build their own streams.
         self._rng = random.Random(seed)
+        self._flow_counter = 0    # last flow id start_flow allocated
         self._routes_built = False
         self.convergence_delay_ps = convergence_delay_ps
         self.route_patches = 0    # incremental port removals applied
@@ -109,7 +112,7 @@ class Network:
             name=name,
             mode=mode,
             salt=self._rng.getrandbits(63),
-            rng=random.Random(self._rng.getrandbits(63)),
+            seed=self._rng.getrandbits(63),
         )
         self._register(switch)
         self.switches.append(switch)
@@ -166,7 +169,7 @@ class Network:
             capacity_bytes=queue_bytes,
             red=red,
             phantom=phantom,
-            rng=random.Random(self._rng.getrandbits(63)),
+            seed=self._rng.getrandbits(63),
         )
         port_ba = Port(
             self.sim,
@@ -176,7 +179,7 @@ class Network:
             ),
             red=red_ba,
             phantom=phantom_ba,
-            rng=random.Random(self._rng.getrandbits(63)),
+            seed=self._rng.getrandbits(63),
         )
         key_ab: PortKey = (b.node_id, idx)
         key_ba: PortKey = (a.node_id, idx)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.packet import Packet
-from repro.sim.units import gbps_to_bytes_per_ps
+from repro.sim.units import MIB, gbps_to_bytes_per_ps
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -73,6 +73,13 @@ class REDConfig:
             raise ValueError(
                 f"invalid RED thresholds: min={self.min_frac} max={self.max_frac}"
             )
+
+
+# Host NICs buffer generously and never ECN-mark (marking happens in the
+# fabric); REDConfig(1.0, 1.0) can only mark at 100% occupancy, which a
+# successful enqueue never reaches.
+NO_MARKING = REDConfig(min_frac=1.0, max_frac=1.0)
+HOST_QUEUE_BYTES = 64 * MIB
 
 
 @dataclass(frozen=True)
@@ -111,11 +118,13 @@ class PhantomQueue:
         "_last_ps",
         "min_th",
         "max_th",
+        "_seed",
         "_rng",
+        "_port",
     )
 
     def __init__(self, config: PhantomQueueConfig, line_gbps: float,
-                 rng: Optional[random.Random] = None):
+                 seed: int = 0):
         self.occupancy = 0.0
         self._drain_bytes_per_ps = (
             config.drain_fraction * gbps_to_bytes_per_ps(line_gbps)
@@ -123,7 +132,19 @@ class PhantomQueue:
         self._last_ps = 0
         self.min_th = float(config.mark_threshold_bytes)
         self.max_th = config.max_frac_of_threshold * self.min_th
-        self._rng = rng or random.Random(0)
+        # The marking stream is built on its first draw (see _stream);
+        # a port's phantom is seeded from that port's stream instead.
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
+        self._port: Optional[Port] = None
+
+    def _stream(self) -> random.Random:
+        port = self._port
+        if port is None:
+            self._rng = random.Random(self._seed)
+        else:
+            port._stream()  # derives and installs this queue's stream
+        return self._rng
 
     def _drain_to(self, now_ps: int) -> None:
         elapsed = now_ps - self._last_ps
@@ -151,7 +172,10 @@ class PhantomQueue:
             return True
         span = self.max_th - self.min_th
         p = (occ - self.min_th) / span if span > 0 else 1.0
-        return self._rng.random() < p
+        rng = self._rng
+        if rng is None:
+            rng = self._stream()
+        return rng.random() < p
 
     def occupancy_at(self, now_ps: int) -> float:
         self._drain_to(now_ps)
@@ -168,6 +192,7 @@ class Port:
         "capacity_bytes",
         "red",
         "phantom",
+        "_seed",
         "_rng",
         "_fifo",
         "bytes_queued",
@@ -213,7 +238,7 @@ class Port:
         capacity_bytes: int,
         red: Optional[REDConfig] = None,
         phantom: Optional[PhantomQueueConfig] = None,
-        rng: Optional[random.Random] = None,
+        seed: int = 0,
         name: str = "",
     ):
         if capacity_bytes <= 0:
@@ -223,13 +248,14 @@ class Port:
         self.name = name or f"port->{link.name}"
         self.capacity_bytes = capacity_bytes
         self.red = red or REDConfig()
-        self._rng = rng or random.Random(0)
-        self.phantom = (
-            PhantomQueue(phantom, link.gbps,
-                         rng=random.Random(self._rng.getrandbits(63)))
-            if phantom is not None
-            else None
-        )
+        # RED and phantom streams are built on their first draw (most
+        # ports never reach a probabilistic band); see _stream.
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
+        self.phantom = None
+        if phantom is not None:
+            self.phantom = PhantomQueue(phantom, link.gbps)
+            self.phantom._port = self
         self._fifo: deque[Packet] = deque()
         self.bytes_queued = 0
         self._busy = False
@@ -373,7 +399,10 @@ class Port:
         else:
             span = self._red_span
             p = (occupancy - self._red_min_th) / span if span > 0 else 1.0
-            red_marked = self._rng.random() < p
+            rng = self._rng
+            if rng is None:
+                rng = self._stream()
+            red_marked = rng.random() < p
         phantom = self.phantom
         phantom_marked = (
             phantom.on_enqueue(size, now) if phantom is not None else False
@@ -473,6 +502,19 @@ class Port:
             self._xoff = True
             pfc.on_xoff(self)
         return True
+
+    def _stream(self) -> random.Random:
+        """Build the RED stream at its first draw, the phantom's with it.
+
+        The phantom's seed is this stream's first 63 bits, drawn here
+        before any RED draw whichever of the two queues draws first — so
+        both streams are the ones an eager constructor would have built,
+        and no result depends on which band a port reached first.
+        """
+        rng = self._rng = random.Random(self._seed)
+        if self.phantom is not None:
+            self.phantom._rng = random.Random(rng.getrandbits(63))
+        return rng
 
     def _settle(self, now: int) -> None:
         """Retire drain-schedule entries whose serialization completed by

@@ -81,6 +81,7 @@ class Switch(FailureDomain):
         "_salt_mix",
         "ports",
         "nexthops",
+        "_seed",
         "_rng",
         "rx_pkts",
         "sprayed_pkts",
@@ -106,7 +107,7 @@ class Switch(FailureDomain):
         name: str,
         mode: str = "ecmp",
         salt: int = 0,
-        rng: Optional[random.Random] = None,
+        seed: Optional[int] = None,
     ):
         if mode not in self.MODES:
             raise ValueError(f"unknown selection mode {mode!r}")
@@ -118,7 +119,10 @@ class Switch(FailureDomain):
         self._salt_mix = mix64(salt)  # the salt's half of flow_hash()
         self.ports: Dict[tuple, "Port"] = {}  # (neighbor id, idx) -> port
         self.nexthops: Dict[int, Tuple["Port", ...]] = {}
-        self._rng = rng or random.Random(node_id)
+        # The spraying stream, built on the first rps draw: ECMP switches
+        # never draw. The seed defaults to the node id.
+        self._seed = node_id if seed is None else seed
+        self._rng: Optional[random.Random] = None
         self.rx_pkts = 0
         self.sprayed_pkts = 0     # random-spray choices over >1 ports
         self.multipath_pkts = 0   # ECMP-hash choices over >1 ports
@@ -219,7 +223,10 @@ class Switch(FailureDomain):
         else:
             # rng.randrange(n) without its two Python frames: the same
             # rejection sampling over the same getrandbits draws.
-            getrandbits = self._rng.getrandbits
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._seed)
+            getrandbits = rng.getrandbits
             k = n.bit_length()
             r = getrandbits(k)
             while r >= n:

@@ -6,9 +6,14 @@
   fat-tree DCs joined by two border switches with parallel WAN links.
 """
 
-from repro.topology.simple import dumbbell, incast_star
-from repro.topology.fattree import FatTree, FatTreeConfig
-from repro.topology.multidc import MultiDC, MultiDCConfig
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:  # names for tools; at run time they load on first use
+    from repro.topology.simple import dumbbell, incast_star
+    from repro.topology.fattree import FatTree, FatTreeConfig
+    from repro.topology.multidc import MultiDC, MultiDCConfig
 
 __all__ = [
     "dumbbell",
@@ -18,3 +23,10 @@ __all__ = [
     "MultiDC",
     "MultiDCConfig",
 ]
+
+_LAZY = {
+    "repro.topology.simple": ("dumbbell", "incast_star"),
+    "repro.topology.fattree": ("FatTree", "FatTreeConfig"),
+    "repro.topology.multidc": ("MultiDC", "MultiDCConfig"),
+}
+__getattr__ = lazy_exports(__name__, _LAZY)

@@ -13,10 +13,14 @@ from typing import List, Optional
 
 from repro.sim.host import Host
 from repro.sim.network import Network
-from repro.sim.queues import PhantomQueueConfig, REDConfig
+from repro.sim.queues import (
+    HOST_QUEUE_BYTES,
+    NO_MARKING,
+    PhantomQueueConfig,
+    REDConfig,
+)
 from repro.sim.switch import Switch
 from repro.sim.units import MIB
-from repro.topology.simple import HOST_QUEUE_BYTES, NO_MARKING
 
 
 @dataclass(frozen=True)

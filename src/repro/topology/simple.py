@@ -8,14 +8,14 @@ from typing import Optional
 from repro.sim.engine import Simulator
 from repro.sim.host import Host
 from repro.sim.network import Network
-from repro.sim.queues import PhantomQueueConfig, Port, REDConfig
+from repro.sim.queues import (
+    HOST_QUEUE_BYTES,
+    NO_MARKING,
+    PhantomQueueConfig,
+    Port,
+    REDConfig,
+)
 from repro.sim.units import MIB, US
-
-# Host NICs buffer generously and never ECN-mark (marking happens in the
-# fabric); REDConfig(1.0, 1.0) can only mark at 100% occupancy, which a
-# successful enqueue never reaches.
-NO_MARKING = REDConfig(min_frac=1.0, max_frac=1.0)
-HOST_QUEUE_BYTES = 64 * MIB
 
 
 def _make_net(sim: Simulator, seed: int,

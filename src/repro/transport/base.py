@@ -978,6 +978,5 @@ def start_flow(
 
 
 def _alloc_flow_id(net: Network) -> int:
-    counter = getattr(net, "_flow_counter", 0) + 1
-    net._flow_counter = counter  # type: ignore[attr-defined]
-    return counter
+    net._flow_counter += 1
+    return net._flow_counter

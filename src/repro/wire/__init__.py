@@ -21,30 +21,35 @@ policy objects over loopback datagrams:
   diffed within declared tolerance bands.
 """
 
-from repro.wire.clock import WallClock, WallTimer
-from repro.wire.compare import compare_sim_wire
-from repro.wire.endpoint import WireHost, WireNetwork, open_wire_host
-from repro.wire.frame import (
-    FrameError,
-    HEADER_SIZE,
-    pack_packet,
-    payload_bytes,
-    unpack_packet,
-)
-from repro.wire.harness import (
-    WIRE_TRANSPORTS,
-    WireFlowSpec,
-    check_wire_invariants,
-    run_wire,
-    wire_rtt_ps,
-)
-from repro.wire.proxy import (
-    ImpairmentEngine,
-    ImpairmentProxy,
-    Impairments,
-    impairments_from_dict,
-    open_proxy,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_exports
+
+if TYPE_CHECKING:  # names for tools; at run time they load on first use
+    from repro.wire.clock import WallClock, WallTimer
+    from repro.wire.compare import compare_sim_wire
+    from repro.wire.endpoint import WireHost, WireNetwork, open_wire_host
+    from repro.wire.frame import (
+        FrameError,
+        HEADER_SIZE,
+        pack_packet,
+        payload_bytes,
+        unpack_packet,
+    )
+    from repro.wire.harness import (
+        WIRE_TRANSPORTS,
+        WireFlowSpec,
+        check_wire_invariants,
+        run_wire,
+        wire_rtt_ps,
+    )
+    from repro.wire.proxy import (
+        ImpairmentEngine,
+        ImpairmentProxy,
+        Impairments,
+        impairments_from_dict,
+        open_proxy,
+    )
 
 __all__ = [
     "WallClock",
@@ -69,3 +74,18 @@ __all__ = [
     "open_proxy",
     "compare_sim_wire",
 ]
+
+_LAZY = {
+    "repro.wire.clock": ("WallClock", "WallTimer"),
+    "repro.wire.endpoint": ("WireHost", "WireNetwork", "open_wire_host"),
+    "repro.wire.frame": ("FrameError", "HEADER_SIZE", "pack_packet",
+                         "payload_bytes", "unpack_packet"),
+    "repro.wire.harness": ("WIRE_TRANSPORTS", "WireFlowSpec",
+                           "check_wire_invariants", "run_wire",
+                           "wire_rtt_ps"),
+    "repro.wire.proxy": ("ImpairmentEngine", "ImpairmentProxy",
+                         "Impairments", "impairments_from_dict",
+                         "open_proxy"),
+    "repro.wire.compare": ("compare_sim_wire",),
+}
+__getattr__ = lazy_exports(__name__, _LAZY)

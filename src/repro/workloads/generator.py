@@ -11,13 +11,24 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.sim.host import Host
-from repro.topology.multidc import MultiDC
-from repro.workloads.alibaba_wan import ALIBABA_WAN_CDF
-from repro.workloads.distributions import EmpiricalCDF
-from repro.workloads.websearch import WEBSEARCH_CDF
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.host import Host
+    from repro.topology.multidc import MultiDC
+    from repro.workloads.distributions import EmpiricalCDF
+
+
+def _websearch() -> EmpiricalCDF:
+    from repro.workloads.websearch import WEBSEARCH_CDF
+
+    return WEBSEARCH_CDF
+
+
+def _alibaba_wan() -> EmpiricalCDF:
+    from repro.workloads.alibaba_wan import ALIBABA_WAN_CDF
+
+    return ALIBABA_WAN_CDF
 
 
 @dataclass
@@ -34,8 +45,9 @@ class TrafficConfig:
     load: float = 0.4                     # fraction of aggregate host capacity
     duration_ps: int = 50_000_000_000     # arrival window (50 ms)
     dc_to_wan_ratio: float = 4.0          # 4:1 intra:inter flows (paper 5.1)
-    intra_cdf: EmpiricalCDF = field(default_factory=lambda: WEBSEARCH_CDF)
-    inter_cdf: EmpiricalCDF = field(default_factory=lambda: ALIBABA_WAN_CDF)
+    # The default CDFs load when a config without its own is built.
+    intra_cdf: EmpiricalCDF = field(default_factory=_websearch)
+    inter_cdf: EmpiricalCDF = field(default_factory=_alibaba_wan)
     max_flows: Optional[int] = None       # hard cap for quick runs
     seed: int = 0
 

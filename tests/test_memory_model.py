@@ -1,10 +1,13 @@
 """The memory model of DESIGN.md: per-flow reliability state is
 O(reorder window), not O(message); a flow at rest (launched but not
 started, completed, aborted) is a descriptor holding shared empty
-containers and no random state; the ECMP memo is bounded; importing the
-simulator loads neither numpy nor multiprocessing."""
+containers and no random state; a built world holds no random state
+either; the ECMP memo is bounded; importing the simulator loads neither
+numpy nor multiprocessing, and a Uno run loads no code it does not
+run."""
 
 import gc
+import importlib
 import os
 import random
 import subprocess
@@ -26,7 +29,12 @@ from repro.sim.engine import Simulator
 from repro.sim.failures import BernoulliLoss
 from repro.sim.link import Link
 from repro.sim.packet import ACK, DATA, Packet
-from repro.sim.queues import _SER_CACHE_MAX, Port
+from repro.sim.queues import (
+    _SER_CACHE_MAX,
+    PhantomQueueConfig,
+    Port,
+    REDConfig,
+)
 from repro.sim.switch import _HASH_CACHE_MAX, Switch, flow_hash, mix64
 from repro.sim.units import KIB, MIB, MS, US, ser_time_ps
 from repro.topology.simple import dumbbell
@@ -522,3 +530,149 @@ def test_importing_the_simulator_does_not_load_numpy():
     ):
         assert subprocess.run([sys.executable, "-c", code],
                               env=env).returncode == 0, code
+
+
+def test_a_uno_run_imports_only_what_it_runs():
+    """The package ``__init__``s re-export lazily and the harness imports
+    a scheme's controllers where it builds that scheme's launcher, so a
+    Uno run never loads the baselines, the field kernels, the runner or
+    telemetry — and the schemes that do use them still launch."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """
+import sys
+import repro.experiments.harness, repro.workloads.patterns
+from repro.experiments.harness import (ExperimentScale, build_multidc,
+                                       make_launcher, run_specs)
+from repro.sim.engine import Simulator
+from repro.workloads.patterns import incast_specs
+
+scale = ExperimentScale.quick()
+params = scale.params()
+
+def run(scheme, n_intra, lb=None):
+    sim = Simulator()
+    topo = build_multidc(sim, scheme, params, scale)
+    launcher = make_launcher(scheme, sim, topo, params, lb=lb)
+    specs = incast_specs(topo, n_intra, 1, 64 << 10)
+    return run_specs(sim, specs, launcher, scale.horizon_ps)
+
+assert [s.done for s in run("uno", 0)] == [True]
+unused = [
+    "repro.transport." + m for m in ("gemini", "bbr", "mprdma", "dctcp",
+                                     "hpcc")
+] + ["repro.lb.plb", "repro.lb.flowbender", "repro.coding.reed_solomon",
+     "repro.coding.gf256", "repro.topology.simple"] + [
+    "repro.obs." + m for m in ("events", "metrics", "spans", "profile")
+] + [
+    "repro.experiments." + m for m in ("api", "cache", "runner", "progress")
+] + ["repro.workloads.allreduce", "repro.workloads.tracefile"]
+loaded = [m for m in unused if m in sys.modules]
+assert not loaded, loaded
+
+# The same entry points load the rest on demand.
+gemini = run("gemini", 1)
+mixed = run("mprdma_bbr", 1)
+plb = run("uno", 1, lb="plb")
+assert all(s.done for s in gemini + mixed + plb)
+assert {type(s.cc).__name__ for s in gemini} == {"Gemini"}
+assert [type(s.cc).__name__ for s in mixed] == ["MPRDMA", "BBR"]
+assert {type(s.path).__name__ for s in plb} == {"PLB"}
+"""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+LAZY_PACKAGES = [
+    "repro", "repro.analysis", "repro.coding", "repro.core",
+    "repro.experiments", "repro.lb", "repro.obs", "repro.sim",
+    "repro.topology", "repro.transport", "repro.wire", "repro.workloads",
+]
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_lazy_export_is_its_defining_modules_object(package):
+    """Each name in ``__all__`` or in the lazy table resolves, through
+    the package, to the object its home module defines: the table's
+    module, or the package itself. A typo in a table fails here, not at
+    a user's first access."""
+    pkg = importlib.import_module(package)
+    home = {name: module
+            for module, names in pkg._LAZY.items() for name in names}
+    for name in sorted(set(pkg.__all__) | set(home)):
+        defining = importlib.import_module(home.get(name, package))
+        assert getattr(pkg, name) is vars(defining)[name], name
+
+
+def _world_streams(net):
+    """Every port, phantom and switch generator slot of ``net``."""
+    ports = [p for node in net.nodes for p in node.ports.values()]
+    return ([p._rng for p in ports]
+            + [p.phantom._rng for p in ports if p.phantom is not None]
+            + [sw._rng for sw in net.switches])
+
+
+class TestWorldStreams:
+    """Ports, phantom queues and switches build their random streams at
+    the first draw; the streams are the ones eager construction built."""
+
+    def test_a_built_world_holds_no_generator(self):
+        scale = ExperimentScale.quick()
+        params = scale.params()
+        build_multidc(Simulator(), "uno", params, scale, seed=1)  # warm-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            topo = build_multidc(Simulator(), "uno", params, scale, seed=1)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        streams = _world_streams(topo.net)
+        assert len(streams) == 458 and set(streams) == {None}
+        # 2.18 MiB with the 458 generators built eagerly (~2.5 KiB of
+        # Mersenne state each); 0.94 MiB measured without (py3.11).
+        assert held < 1.18 * MIB, held
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**63 - 1), st.lists(st.booleans(), max_size=32))
+    def test_any_draw_order_gives_the_eager_streams(self, seed, order):
+        """``True`` is a RED draw (an enqueue in the port's probabilistic
+        band), ``False`` a phantom one (the phantom's band); whichever
+        builds first, the two streams stay those of
+        ``r = Random(seed); ph = Random(r.getrandbits(63))``."""
+        sim = Simulator()
+        port = Port(sim, Link(sim, 25.0, prop_ps=1 * US), capacity_bytes=MIB,
+                    red=REDConfig(min_frac=0.0, max_frac=1.0),
+                    phantom=PhantomQueueConfig(mark_threshold_bytes=MIB),
+                    seed=seed)
+        phantom = port.phantom
+        want_red = random.Random(seed)
+        want_phantom = random.Random(want_red.getrandbits(63))
+        for is_red in order:
+            if is_red:
+                port.enqueue(Packet(DATA, 1, 3, 7, seq=0, size=64))
+                want_red.random()
+            else:
+                phantom.occupancy = 1.5 * phantom.min_th
+                phantom.on_enqueue(0, now_ps=0)
+                phantom.occupancy = 0.0
+                want_phantom.random()
+        if not order:
+            assert port._rng is None and phantom._rng is None
+        else:
+            assert port._rng.getstate() == want_red.getstate()
+            assert phantom._rng.getstate() == want_phantom.getstate()
+
+    def test_spraying_switch_draws_its_seeds_stream(self):
+        sw = Switch(Simulator(), node_id=1, name="sw", mode="rps", seed=99)
+        ports = [_RecordingPort() for _ in range(5)]
+        sw.nexthops[7] = tuple(ports)
+        assert sw._rng is None
+        want = random.Random(99)
+        for _ in range(50):
+            sw.receive(Packet(DATA, 1, 3, 7, seq=0, size=64))
+            chosen = [i for i, p in enumerate(ports) if p.got]
+            assert chosen == [want.randrange(5)]
+            ports[chosen[0]].got.clear()

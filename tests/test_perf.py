@@ -322,8 +322,7 @@ def _burst_trace(batch, actions=(), npkts=40, gap_ps=49_991,
         link = Link(sim, 100.0, prop_ps=5 * US)
         sink = _TraceSink(sim)
         link.connect(sink)
-        port = Port(sim, link, capacity_bytes=capacity,
-                    rng=random.Random(11))
+        port = Port(sim, link, capacity_bytes=capacity, seed=11)
         state = {"sim": sim, "port": port, "link": link, "sink": sink}
         for i in range(npkts):
             sim.at(1_000 + i * gap_ps, port.enqueue, _data(i, size))

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 import repro.sim.queues as queues_mod
@@ -24,7 +22,7 @@ def make_port(sim, capacity=100_000, red=None, phantom=None, gbps=100.0, prop=0)
     sink = Sink()
     link.connect(sink)
     port = Port(sim, link, capacity_bytes=capacity, red=red, phantom=phantom,
-                rng=random.Random(1))
+                seed=1)
     return port, sink
 
 
@@ -174,11 +172,9 @@ class TestPhantomQueue:
         assert pq.on_enqueue(4_096, now_ps=0) is True
 
     def test_marking_probabilistic_between_thresholds(self):
-        import random as _r
-
         cfg = PhantomQueueConfig(mark_threshold_bytes=10_000,
                                  max_frac_of_threshold=3.0)
-        pq = PhantomQueue(cfg, 100.0, rng=_r.Random(4))
+        pq = PhantomQueue(cfg, 100.0, seed=4)
         pq.occupancy = 19_000  # mid-band
         marks = sum(pq.on_enqueue(0, now_ps=0) for _ in range(500))
         assert 100 < marks < 400  # ~45% expected, statistically bounded

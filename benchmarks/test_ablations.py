@@ -1,10 +1,10 @@
 """Benchmark: ablations of Uno's design choices (DESIGN.md)."""
 
-from repro.experiments import ablations
+from repro.experiments import run_experiment
 
 
 def test_ablations(once):
-    res = once(ablations.run, quick=True)
+    res = once(run_experiment, "ablations")
 
     # Unified granularity is what buys fast convergence (paper 4.1.1).
     ug = res["unified_granularity"]

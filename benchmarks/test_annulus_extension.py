@@ -1,10 +1,10 @@
 """Benchmark: the Annulus near-source extension (paper future work)."""
 
-from repro.experiments import annulus_ext
+from repro.experiments import run_experiment
 
 
 def test_annulus_extension(once):
-    res = once(annulus_ext.run, quick=True)
+    res = once(run_experiment, "annulus_ext")
     uno = res["uno"]
     ann = res["uno+annulus"]
 

@@ -1,10 +1,10 @@
 """Benchmark: Discussion-section claim — HPCC+BBR stays unfair."""
 
-from repro.experiments import discussion_hpcc
+from repro.experiments import run_experiment
 
 
 def test_discussion_hpcc(once):
-    res = once(discussion_hpcc.run, quick=True)
+    res = once(run_experiment, "discussion_hpcc")
 
     split = res["hpcc_bbr"]
     uno = res["uno"]

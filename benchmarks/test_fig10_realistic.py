@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 10 (realistic workloads vs load)."""
 
-from repro.experiments import fig10
+from repro.experiments import run_experiment
 
 
 def test_fig10(once):
-    res = once(fig10.run, quick=True)
+    res = once(run_experiment, "fig10")
     cells = res["cells"]
 
     for load, per_scheme in cells.items():

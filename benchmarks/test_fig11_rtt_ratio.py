@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 11 (FCT slowdown vs RTT ratio)."""
 
-from repro.experiments import fig11
+from repro.experiments import run_experiment
 
 
 def test_fig11(once):
-    res = once(fig11.run, quick=True)
+    res = once(run_experiment, "fig11")
     cells = res["cells"]
 
     for ratio, per_scheme in cells.items():

@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 12 (shallow intra / deep inter buffers)."""
 
-from repro.experiments import fig12
+from repro.experiments import run_experiment
 
 
 def test_fig12(once):
-    res = once(fig12.run, quick=True)
+    res = once(run_experiment, "fig12")
     cells = res["cells"]
 
     assert res["inter_queue"] > res["intra_queue"]

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from repro.experiments import fig13
+from repro.experiments import run_experiment
 
 
 def test_fig13(once):
-    res = once(fig13.run, quick=True)
+    res = once(run_experiment, "fig13")
 
     # (A) border-link failure: UnoLB routes blocks around the dead link
     # and parity absorbs the partial losses — several times better than

@@ -1,11 +1,11 @@
 """Benchmark: regenerate Figure 1B (latency- vs throughput-bound)."""
 
-from repro.experiments import fig1
+from repro.experiments import run_experiment
 from repro.sim.units import KIB, MIB
 
 
 def test_fig1(once):
-    res = once(fig1.run, quick=True)
+    res = once(run_experiment, "fig1")
     curves = res["curves"]
     sizes = res["sizes"]
 

@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 3 (fairness convergence, mixed incast)."""
 
-from repro.experiments import fig3
+from repro.experiments import run_experiment
 
 
 def test_fig3(once):
-    res = once(fig3.run, quick=True)
+    res = once(run_experiment, "fig3")
     r = res["results"]
     uno, gemini, mprdma = r["uno"], r["gemini"], r["mprdma_bbr"]
 

@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 4 (phantom queue effect)."""
 
-from repro.experiments import fig4
+from repro.experiments import run_experiment
 
 
 def test_fig4(once):
-    res = once(fig4.run, quick=True)
+    res = once(run_experiment, "fig4")
     w, wo = res["with_phantom"], res["without_phantom"]
 
     # Paper shape: phantom queues hold the physical queue near zero

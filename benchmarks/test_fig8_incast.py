@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 8 (incast scenarios)."""
 
-from repro.experiments import fig8
+from repro.experiments import run_experiment
 
 
 def test_fig8(once):
-    res = once(fig8.run, quick=True)
+    res = once(run_experiment, "fig8")
     scen = res["scenarios"]
 
     for name in ("intra-only", "inter-only", "mixed"):

@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 9 (permutation workload)."""
 
-from repro.experiments import fig9
+from repro.experiments import run_experiment
 
 
 def test_fig9(once):
-    res = once(fig9.run, quick=True)
+    res = once(run_experiment, "fig9")
     asis = res["variants"]["as-is"]
     prov = res["variants"]["provisioned"]
 

@@ -1,10 +1,10 @@
 """Benchmark: regenerate Table 1 (correlated loss structure)."""
 
-from repro.experiments import table1
+from repro.experiments import run_experiment
 
 
 def test_table1(once):
-    res = once(table1.run, quick=True)
+    res = once(run_experiment, "table1")
 
     for name, r in res.items():
         paper = r["paper"]

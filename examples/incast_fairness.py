@@ -60,7 +60,7 @@ def main() -> None:
         "\npaper Fig 3C). The full 260 ms window — where uno sustains J>0.9"
         "\nwith a near-empty bottleneck queue while gemini needs a standing"
         "\nqueue hundreds of KiB deep — is measured by"
-        "\n`python -m repro.experiments.fig3`."
+        "\n`python -m repro.experiments.run_all --only fig3`."
     )
 
 

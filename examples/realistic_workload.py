@@ -43,7 +43,7 @@ def main() -> None:
     topo = build_multidc(sim, "uno", params, scale, seed=42)
 
     # The shipped trace files are the paper's flow-size distributions;
-    # swap in your own with repro.workloads.load_cdf_file(path).
+    # swap in your own with repro.workloads.tracefile.parse_cdf_text.
     intra_cdf = load_builtin("websearch").scaled(scale.size_scale)
     inter_cdf = load_builtin("alibaba_wan").scaled(scale.size_scale)
 

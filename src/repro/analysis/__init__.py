@@ -1,4 +1,4 @@
-"""Result analysis: FCT statistics, slowdowns, fairness metrics."""
+"""Result analysis: FCT statistics, ideal FCTs, fairness metrics."""
 
 from typing import TYPE_CHECKING
 
@@ -9,7 +9,6 @@ if TYPE_CHECKING:  # names for tools; at run time they load on first use
         FCTSummary,
         ideal_fct_ps,
         percentile,
-        slowdowns,
         summarize_fcts,
     )
     from repro.analysis.fairness import convergence_time_ps, jain_index
@@ -19,14 +18,13 @@ __all__ = [
     "summarize_fcts",
     "percentile",
     "ideal_fct_ps",
-    "slowdowns",
     "jain_index",
     "convergence_time_ps",
 ]
 
 _LAZY = {
     "repro.analysis.fct": ("FCTSummary", "summarize_fcts", "percentile",
-                           "ideal_fct_ps", "slowdowns"),
+                           "ideal_fct_ps"),
     "repro.analysis.fairness": ("jain_index", "convergence_time_ps"),
 }
 __getattr__ = lazy_exports(__name__, _LAZY)

@@ -111,25 +111,6 @@ def ideal_fct_ps(
     return int(base_rtt_ps + ser)
 
 
-def slowdowns(
-    stats: Sequence[SenderStats],
-    base_rtt_for: "callable",
-    line_gbps: float,
-    mss: int = 4096,
-) -> List[float]:
-    """Per-flow slowdown = FCT / ideal FCT (Fig 11's metric).
-
-    ``base_rtt_for(stat)`` maps a flow record to its uncongested RTT.
-    """
-    out = []
-    for s in stats:
-        if s.fct_ps is None:
-            raise ValueError(f"flow {s.flow_id} did not complete")
-        ideal = ideal_fct_ps(s.size_bytes, base_rtt_for(s), line_gbps, mss=mss)
-        out.append(s.fct_ps / ideal)
-    return out
-
-
 def split_intra_inter(
     stats: Iterable[SenderStats],
 ) -> tuple[List[SenderStats], List[SenderStats]]:

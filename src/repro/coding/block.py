@@ -47,10 +47,6 @@ class BlockConfig:
         """Extra transmission fraction, e.g. 0.25 for (8, 2)."""
         return self.parity_pkts / self.data_pkts
 
-    def block_of_seq(self, seq: int) -> int:
-        """Which block a data sequence number belongs to."""
-        return seq // self.data_pkts
-
     def n_blocks(self, total_data_pkts: int) -> int:
         return (total_data_pkts + self.data_pkts - 1) // self.data_pkts
 
@@ -60,12 +56,6 @@ class BlockConfig:
         if start >= total_data_pkts:
             raise ValueError(f"block {block_id} beyond message end")
         return min(self.data_pkts, total_data_pkts - start)
-
-    def recoverable(self, received: int, block_data_pkts: int) -> bool:
-        """True when a block with ``block_data_pkts`` data packets can be
-        decoded after receiving ``received`` distinct packets of it."""
-        return received >= block_data_pkts
-
 
 class BlockCodec:
     """Encode/decode real message bytes through per-block Reed-Solomon."""

@@ -41,12 +41,9 @@ class SingularMatrixError(ValueError):
 
 
 class GF256:
-    """Namespace of GF(2^8) operations on ints and on byte-string vectors."""
-
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Addition = subtraction = XOR in characteristic 2."""
-        return a ^ b
+    """Namespace of GF(2^8) operations on ints and on byte-string vectors.
+    Addition (and subtraction) is XOR in characteristic 2, written ``^``
+    where it is used."""
 
     @staticmethod
     def mul(a: int, b: int) -> int:
@@ -59,10 +56,6 @@ class GF256:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(256)")
         return _EXP[255 - _LOG[a]]
-
-    @staticmethod
-    def div(a: int, b: int) -> int:
-        return GF256.mul(a, GF256.inv(b))
 
     @staticmethod
     def pow(a: int, n: int) -> int:

@@ -7,10 +7,10 @@ rate and keep everything consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.queues import PhantomQueueConfig, REDConfig
-from repro.sim.units import KIB, MIB, US, MS, bdp_bytes
+from repro.sim.units import MIB, US, MS, bdp_bytes
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,6 @@ class UnoParams:
     def k_bytes(self) -> float:
         """UnoCC's MD constant K = intra-DC BDP / 7 (Table 2)."""
         return self.k_fraction_of_intra_bdp * self.intra_bdp_bytes
-
-    @property
-    def rtt_ratio(self) -> float:
-        return self.inter_rtt_ps / self.intra_rtt_ps
-
-    def bdp_for(self, is_inter_dc: bool) -> int:
-        return self.inter_bdp_bytes if is_inter_dc else self.intra_bdp_bytes
 
     def base_rtt_for(self, is_inter_dc: bool) -> int:
         return self.inter_rtt_ps if is_inter_dc else self.intra_rtt_ps

@@ -133,9 +133,6 @@ class UnoRCSender(Sender):
             offset = (seq - self.total_data_pkts) % self.rc.block.parity_pkts
             pkt.block_pos = self.block_data_n(b) + offset
 
-    def _codec_has_parity(self) -> bool:
-        return bool(self._parity_queue)
-
     def _peek_parity(self) -> Optional[int]:
         return self._parity_queue[0] if self._parity_queue else None
 

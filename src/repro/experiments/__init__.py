@@ -7,13 +7,15 @@ executes one of them from scratch, and ``summarize(results)`` reduces
 the per-point dicts to the module's aggregate result. The generic
 engine in :mod:`repro.experiments.runner` executes any point list in
 parallel worker processes, caches completed points on disk, and resumes
-interrupted sweeps (see ``python -m repro.experiments.run_all --help``).
+interrupted sweeps, and ``report(result)`` prints the paper-vs-measured
+comparison.
 
-``module.run(quick=True, seed=...)`` remains the one-call entry point
-(now a thin wrapper over the runner) and ``main()`` prints the
-paper-vs-measured comparison. ``quick=True`` runs a scaled-down but
-shape-preserving configuration suitable for a laptop (see DESIGN.md's
-substitution notes); ``quick=False`` approaches the paper's scale.
+``python -m repro.experiments.run_all --only NAME`` is the one way to
+run an experiment (``--help`` lists the rest); in code,
+``run_experiment(NAME, quick, seed=...)`` returns the summary.
+``quick=True`` runs a scaled-down but shape-preserving configuration
+suitable for a laptop (see DESIGN.md's substitution notes);
+``quick=False`` approaches the paper's scale.
 """
 
 from typing import TYPE_CHECKING

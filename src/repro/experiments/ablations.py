@@ -278,13 +278,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
     }
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("ablations", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured tables for a results dict."""
     ug = res["unified_granularity"]
@@ -322,14 +315,3 @@ def report(res: Dict) -> None:
         [[k, v["retransmissions"], v["parity_sent"], f"{v['fct_ms']:.2f}"]
          for k, v in ec.items()],
     )
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured tables; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

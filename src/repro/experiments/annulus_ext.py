@@ -132,13 +132,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
     return {name: results[name] for name in VARIANTS if name in results}
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("annulus_ext", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured table for a results dict."""
     rows = [
@@ -153,14 +146,3 @@ def report(res: Dict) -> None:
         ["variant", "mean FCT ms", "p99 FCT ms", "drops", "CNPs"],
         rows,
     )
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

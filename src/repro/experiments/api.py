@@ -2,10 +2,12 @@
 
 Every experiment module (``fig1`` ... ``fig13``, ``table1``,
 ``ablations``, ``annulus_ext``, ``discussion_hpcc``) describes its work
-as a list of independent :class:`ExperimentPoint` s plus two pure
-functions, so a generic engine (:mod:`repro.experiments.runner`) can fan
-the points out over processes, cache them on disk, and resume partial
-sweeps:
+as a list of independent :class:`ExperimentPoint` s plus pure
+functions, so a generic engine (:mod:`repro.experiments.runner`) can
+fan the points out over processes, cache them on disk, and resume
+partial sweeps. The protocol is four functions and a constant (the
+``chaos`` and ``wire`` campaign modules build their points with
+``campaign_points(name)`` instead of ``points``):
 
 - ``points(quick=True, seed=None) -> List[ExperimentPoint]`` — the full
   sweep (scheme x load x repeat ...) as picklable value objects. All
@@ -15,12 +17,13 @@ sweeps:
   JSON-serializable dict. It must not read module-level mutable state:
   the runner may call it in a forked worker process in any order.
 - ``summarize(results) -> dict`` — pure reducer from
-  ``{point.name: per-point dict}`` to the module's aggregate result
-  (what ``run()`` returns and ``report()`` prints).
+  ``{point.name: per-point dict}`` to the module's aggregate result;
+- ``report(result)`` — prints that result as the paper-vs-measured table;
+- ``DEFAULT_SEED`` — the base seed ``points`` uses when given none.
 
-``module.run(quick)`` stays the one-call entry point; it is now the thin
-wrapper ``summarize(run_points(points(quick)))`` provided by
-:func:`repro.experiments.runner.run_experiment`.
+``python -m repro.experiments.run_all --only NAME`` is the one way to
+run an experiment; :func:`repro.experiments.runner.run_experiment` is
+the same ``summarize(run_points(points(quick)))`` for code.
 
 Per-point results are canonicalized through JSON (sorted keys, compact
 separators, no NaN) before they reach ``summarize`` or the disk cache,
@@ -115,10 +118,11 @@ def normalize_result(result: Any) -> Dict[str, Any]:
 
 
 def experiment_module(name: str):
-    """Import ``repro.experiments.<name>`` and check it speaks the point
-    protocol."""
+    """Import ``repro.experiments.<name>`` and check it can execute and
+    reduce points (campaign modules build theirs with
+    ``campaign_points``, not ``points``)."""
     module = importlib.import_module(f"repro.experiments.{name}")
-    for attr in ("points", "run_point", "summarize"):
+    for attr in ("run_point", "summarize"):
         if not hasattr(module, attr):
             raise TypeError(
                 f"experiment module {name!r} does not implement the point "
@@ -133,11 +137,3 @@ def execute_point(point: ExperimentPoint) -> Dict[str, Any]:
     module = experiment_module(point.experiment)
     return normalize_result(module.run_point(point))
 
-
-# The campaign progress stream is part of the experiment API surface:
-# run_all writes it, the dashboard tails it, and experiment drivers can
-# pass one to ``run_points``.
-from repro.experiments.progress import (  # noqa: E402  (re-export)
-    CAMPAIGN_STREAM_NAME,
-    CampaignStream,
-)

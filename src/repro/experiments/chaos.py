@@ -270,12 +270,6 @@ def campaign_points(
     return pts
 
 
-def points(quick: bool = True,
-           seed: Optional[int] = None) -> List[ExperimentPoint]:
-    """Point-API entry: the default (smoke) campaign."""
-    return campaign_points("smoke", quick, seed)
-
-
 # ----------------------------------------------------------------------
 # Point execution
 # ----------------------------------------------------------------------
@@ -605,10 +599,3 @@ def report(res: Dict[str, Any]) -> None:
     print(f"  => {res['n_points']} points, {verdict}")
     for name, ratio in res.get("victim_slowdown", {}).items():
         print(f"  victim slowdown {name}: {ratio}x vs lossy twin")
-
-
-def run(quick: bool = True, **runner_kwargs) -> Dict[str, Any]:
-    """Run the default (smoke) campaign serially and summarize it."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment(EXPERIMENT, quick, **runner_kwargs)

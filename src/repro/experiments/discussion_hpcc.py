@@ -112,13 +112,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
     return {stack: results[stack] for stack in STACKS if stack in results}
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("discussion_hpcc", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured table for a results dict."""
     rows = [
@@ -133,14 +126,3 @@ def report(res: Dict) -> None:
         ["stack", "tail Jain", "intra sum", "inter sum"],
         rows,
     )
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

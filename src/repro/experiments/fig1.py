@@ -7,9 +7,9 @@ propagation-bound fraction is ``R / T``. For intra-DC RTTs (10-40 us)
 messages beyond ~256 KiB are throughput-bound; for inter-DC RTTs
 (1-60 ms) even multi-hundred-MB messages stay latency-bound.
 
-``run`` computes the analytic curves and validates a handful of points
-against actual packet-level simulations of a single flow on an otherwise
-idle path.
+``summarize`` computes the analytic curves; the points validate a
+handful of them against actual packet-level simulations of a single flow
+on an otherwise idle path.
 """
 
 from __future__ import annotations
@@ -114,13 +114,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
     return {"sizes": SIZES, "curves": curves, "checks": checks}
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("fig1", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured table for a results dict."""
     headers = ["size"] + list(RTTS_PS)
@@ -139,14 +132,3 @@ def report(res: Dict) -> None:
     for c in res["checks"]:
         print(f"  rtt={c['rtt']:>5} size={c['size']:>9}B  "
               f"analytic={c['analytic']:.3f}  simulated={c['simulated']:.3f}")
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -67,13 +67,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
     return {"cells": cells}
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("fig10", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured table for a results dict."""
     rows = []
@@ -95,14 +88,3 @@ def report(res: Dict) -> None:
          "inter mean ms", "inter p99 ms"],
         rows,
     )
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

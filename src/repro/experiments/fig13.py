@@ -304,13 +304,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
     return out
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("fig13", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured tables for a results dict."""
     rows_a = [
@@ -346,14 +339,3 @@ def report(res: Dict) -> None:
         ["lb scheme", "mean slowdown", "p99 slowdown"],
         rows_c,
     )
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,6 @@ import random
 from typing import Dict, List, Optional
 
 from repro.analysis.fct import summarize_fcts
-from repro.core.params import UnoParams
 from repro.core.uno import start_uno_flow
 from repro.experiments.api import ExperimentPoint
 from repro.experiments.harness import ExperimentScale, scale_for
@@ -141,13 +140,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
             "without_phantom": results["no-phantom"]}
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("fig4", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured table for a results dict."""
     w, wo = res["with_phantom"], res["without_phantom"]
@@ -164,14 +156,3 @@ def report(res: Dict) -> None:
         ["variant", "queue mean KiB", "queue max KiB", "RPC mean us", "RPC p99 us"],
         rows,
     )
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

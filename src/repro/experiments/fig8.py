@@ -20,7 +20,6 @@ from repro.experiments.harness import (
     ExperimentScale,
     build_multidc,
     make_launcher,
-    run_specs,
     scale_for,
 )
 from repro.experiments.report import print_experiment
@@ -129,13 +128,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
     return {"scenarios": out, "flow_bytes": flow_bytes}
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("fig8", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured table for a results dict."""
     rows = []
@@ -151,14 +143,3 @@ def report(res: Dict) -> None:
         ["scenario", "scheme", "mean FCT ms", "p99 FCT ms", "Jain(mid)"],
         rows,
     )
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -109,13 +109,6 @@ def summarize(results: Dict[str, Dict]) -> Dict:
     return {"variants": out, "flow_bytes": flow_bytes}
 
 
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the experiment; ``quick`` selects the scaled-down configuration."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("fig9", quick, seed=seed)
-
-
 def report(res: Dict) -> None:
     """Print the paper-vs-measured table for a results dict."""
     rows = []
@@ -130,14 +123,3 @@ def report(res: Dict) -> None:
         ["topology", "scheme", "mean FCT ms", "p99 FCT ms", "inter mean ms"],
         rows,
     )
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the paper-vs-measured table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -258,7 +258,7 @@ def run_specs(
     sim.run(until=horizon_ps)
     if remaining[0] > 0:
         unfinished = [s.flow_id for s in senders if not s.done][:10]
-        if sim.peek_time() is None:
+        if not sim.live_pending:
             raise RuntimeError(
                 f"transport deadlock: {remaining[0]} flows pending with an "
                 f"empty event heap (first ids: {unfinished})"

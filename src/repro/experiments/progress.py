@@ -79,8 +79,8 @@ class CampaignStream:
     one stream per campaign at ``<out>/telemetry/campaign.jsonl`` and
     the runner appends a line per transition, so ``tools/dashboard.py``
     can tail the file while the campaign is still running. Lines are
-    flushed as written (same crash-safety contract as
-    :class:`~repro.obs.events.JSONLFileSink`) and carry a wall-clock
+    flushed as written (the file is line-buffered, so a campaign that
+    crashes leaves every line up to its last) and carry a wall-clock
     ``ts`` plus a ``kind``:
 
     - ``campaign_start`` — sweep opened (``total`` points, free-form
@@ -90,7 +90,7 @@ class CampaignStream:
     - ``retry`` — a failed point is being re-run (``attempt``);
     - ``campaign_end`` — sweep closed (``done``/``failed`` totals).
 
-    Usable as a context manager; ``close()`` is idempotent.
+    ``close()`` is idempotent.
     """
 
     def __init__(self, path, clock=time.time):
@@ -125,9 +125,3 @@ class CampaignStream:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __enter__(self) -> "CampaignStream":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -351,7 +351,7 @@ def failures(records: Sequence[PointRecord]) -> List[PointRecord]:
 
 def raise_failures(records: Sequence[PointRecord]) -> None:
     """Re-raise the first failure as RuntimeError (the strict path used
-    by ``module.run()`` so benchmarks still see exceptions)."""
+    by :func:`run_experiment` so benchmarks still see exceptions)."""
     failed = failures(records)
     if not failed:
         return
@@ -365,10 +365,10 @@ def raise_failures(records: Sequence[PointRecord]) -> None:
 
 
 def run_experiment(name: str, quick: bool = True,
-                   seed: Optional[int] = None, **runner_kwargs) -> Dict:
-    """``summarize(run_points(points(quick)))`` for one module — the
-    compatibility core behind every experiment's ``run()``."""
+                   seed: Optional[int] = None) -> Dict:
+    """``summarize(run_points(points(quick)))`` for one experiment, in
+    this process: what ``run_all --only NAME`` computes, for code."""
     module = experiment_module(name)
-    records = run_points(module.points(quick, seed=seed), **runner_kwargs)
+    records = run_points(module.points(quick, seed=seed))
     raise_failures(records)
     return module.summarize(results_by_name(records, experiment=name))

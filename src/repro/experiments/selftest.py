@@ -89,21 +89,3 @@ def report(res: Dict) -> None:
         ["cell", "n", "mean", "max"],
         rows,
     )
-
-
-def run(quick: bool = True, seed: Optional[int] = None) -> Dict:
-    """Run the sweep serially; ``summarize(run_points(points(quick)))``."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment("selftest", quick, seed=seed)
-
-
-def main(quick: bool = True) -> Dict:
-    """Run and print the selftest table; returns the results dict."""
-    res = run(quick=quick)
-    report(res)
-    return res
-
-
-if __name__ == "__main__":
-    main()

@@ -123,12 +123,6 @@ def campaign_points(
     return pts
 
 
-def points(quick: bool = True,
-           seed: Optional[int] = None) -> List[ExperimentPoint]:
-    """Point-API entry: the default (soak) campaign."""
-    return campaign_points("soak", quick, seed)
-
-
 # ----------------------------------------------------------------------
 # Point execution
 # ----------------------------------------------------------------------
@@ -251,10 +245,3 @@ def report(res: Dict[str, Any]) -> None:
     verdict = ("all gates passed" if res["all_gates_passed"]
                else f"{res['failed_gates']} GATES FAILED")
     print(f"  => {res['n_points']} points, {verdict}")
-
-
-def run(quick: bool = True, **runner_kwargs) -> Dict[str, Any]:
-    """Run the default (soak) campaign serially and summarize it."""
-    from repro.experiments.runner import run_experiment
-
-    return run_experiment(EXPERIMENT, quick, **runner_kwargs)

@@ -1,8 +1,8 @@
 """Load-balancing schemes the paper compares against.
 
 - ECMP: :class:`repro.transport.base.FixedEntropy` (one hashed path).
-- RPS (Random Packet Spraying [24]): a *switch* behaviour — set switch
-  mode ``"rps"`` via :func:`set_spraying`.
+- RPS (Random Packet Spraying [24]): a *switch* behaviour — build the
+  switches with ``mode="rps"``.
 - PLB [56]: :class:`repro.lb.plb.PLB` — repath after consecutive
   congested rounds.
 - UnoLB: :class:`repro.core.unolb.UnoLB` (part of the contribution).
@@ -18,20 +18,12 @@ if TYPE_CHECKING:  # names for tools; at run time they load on first use
     from repro.transport.base import FixedEntropy
 
 
-def set_spraying(net, enable: bool = True) -> None:
-    """Switch every switch in ``net`` to RPS (or back to ECMP)."""
-    mode = "rps" if enable else "ecmp"
-    for sw in net.switches:
-        sw.set_mode(mode)
-
-
 __all__ = [
     "PLB",
     "PLBConfig",
     "Flowbender",
     "FlowbenderConfig",
     "FixedEntropy",
-    "set_spraying",
 ]
 
 _LAZY = {

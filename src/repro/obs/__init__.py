@@ -7,8 +7,8 @@ Three layers, all opt-in and all zero-cost when off:
   and RTOs per flow, EC recoveries, reroutes, link failures), snapshotable
   to one nested dict at any simulated time;
 - :mod:`repro.obs.events` — a topic-filtered structured event log
-  (enqueue/drop/mark, ACK/NACK, cwnd, epochs, failures, reroutes) with
-  ring-buffer and JSONL file sinks;
+  (enqueue/drop/mark, ACK/NACK, cwnd, epochs, failures, reroutes) over
+  a bounded ring with exact per-kind tallies;
 - :mod:`repro.obs.profile` — an engine profiler attributing the event
   loop's wall time to callback sites.
 
@@ -33,20 +33,13 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 from repro import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.events import (
-        EventLog,
-        JSONLFileSink,
-        RingBufferSink,
-        TOPICS,
-        read_jsonl,
-    )
+    from repro.obs.events import EventLog, TOPICS
     from repro.obs.metrics import (
         Counter,
         MetricsRegistry,
         TimeSeries,
         merge_numeric,
         metric_key,
-        sum_numeric,
     )
     from repro.obs.profile import EngineProfiler, rank_sites
     from repro.obs.spans import SPAN_KINDS, FlowSpans
@@ -57,10 +50,8 @@ __all__ = [
     "EngineProfiler",
     "EventLog",
     "FlowSpans",
-    "JSONLFileSink",
     "MetricsRegistry",
     "Observability",
-    "RingBufferSink",
     "SPAN_KINDS",
     "TOPICS",
     "TelemetryContext",
@@ -69,17 +60,14 @@ __all__ = [
     "enable",
     "merge_numeric",
     "metric_key",
-    "read_jsonl",
-    "sum_numeric",
 ]
 
 # Every Simulator imports this package (to find an active context); a
 # run with telemetry off never touches the four layers below it.
 _LAZY = {
-    "repro.obs.events": ("EventLog", "JSONLFileSink", "RingBufferSink",
-                         "TOPICS", "read_jsonl"),
+    "repro.obs.events": ("EventLog", "TOPICS"),
     "repro.obs.metrics": ("Counter", "MetricsRegistry", "TimeSeries",
-                          "merge_numeric", "metric_key", "sum_numeric"),
+                          "merge_numeric", "metric_key"),
     "repro.obs.profile": ("EngineProfiler", "rank_sites"),
     "repro.obs.spans": ("SPAN_KINDS", "FlowSpans"),
 }
@@ -127,7 +115,6 @@ def enable(
     sim: "Simulator",
     *,
     event_topics: Optional[object] = None,
-    event_path=None,
     ring_size: int = 65536,
     profile: bool = True,
     spans: bool = True,
@@ -135,8 +122,7 @@ def enable(
     """Attach a fresh :class:`Observability` to ``sim`` and return it.
 
     ``event_topics`` selects event tracing: None disables it entirely,
-    ``"all"`` enables every topic, an iterable enables exactly those.
-    ``event_path`` additionally writes events to a JSONL file. A
+    ``"all"`` enables every topic, an iterable enables exactly those. A
     :class:`~repro.obs.spans.FlowSpans` recorder is created whenever
     event tracing is on, the log wants the ``"span"`` topic, and
     ``spans`` is not forced off — with event tracing off (the default)
@@ -144,17 +130,13 @@ def enable(
     test. Must be called before the topology/flows are built —
     components cache ``sim.obs`` at construction.
     """
-    from repro.obs.events import EventLog, JSONLFileSink, RingBufferSink
+    from repro.obs.events import EventLog
     from repro.obs.profile import EngineProfiler
     from repro.obs.spans import FlowSpans
 
     events = None
     if event_topics is not None:
-        sinks: Optional[List] = None
-        if event_path is not None:
-            sinks = [RingBufferSink(ring_size), JSONLFileSink(event_path)]
-        events = EventLog(topics=event_topics, sinks=sinks,
-                          ring_size=ring_size)
+        events = EventLog(topics=event_topics, ring_size=ring_size)
     obs = Observability(
         events=events,
         profile=EngineProfiler() if profile else None,

@@ -50,9 +50,9 @@ class Counter:
 class TimeSeries:
     """Append-only ``(t, *values)`` rows with per-column reducers.
 
-    Column 0 is always the timestamp; ``column(i)`` / ``max(i)`` /
-    ``mean(i)`` index into the full row tuple (so value columns start
-    at 1). This is the storage behind ``QueueMonitor``/``RateMonitor``.
+    Column 0 is always the timestamp; ``column(i)`` indexes into the
+    full row tuple (so value columns start at 1). This is the storage
+    behind ``QueueMonitor``/``RateMonitor``.
     """
 
     __slots__ = ("name", "rows")
@@ -64,22 +64,11 @@ class TimeSeries:
     def append(self, t: int, *values) -> None:
         self.rows.append((t, *values))
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def times(self) -> List[int]:
         return [row[0] for row in self.rows]
 
     def column(self, i: int) -> List:
         return [row[i] for row in self.rows]
-
-    def max(self, i: int, default=0):
-        return max((row[i] for row in self.rows), default=default)
-
-    def mean(self, i: int, default: float = 0.0) -> float:
-        if not self.rows:
-            return default
-        return sum(row[i] for row in self.rows) / len(self.rows)
 
     def summary(self) -> Dict[str, Any]:
         """Snapshot-friendly reduction: per-column count/min/max/mean."""
@@ -114,7 +103,7 @@ class MetricsRegistry:
 
     def defer(self, register: Callable[["MetricsRegistry"], None]) -> None:
         """Queue a registration callback to run lazily, at the first
-        read (snapshot/value/total/unique_name).
+        read (snapshot/unique_name).
 
         Gauge names are f-strings over instance names; building a
         fat-tree registers thousands of them, all pure construction-time
@@ -177,15 +166,6 @@ class MetricsRegistry:
 
     # -- reading ---------------------------------------------------------
 
-    def value(self, name: str) -> Any:
-        """Current value of one counter or gauge by exact name."""
-        self._materialize()
-        if name in self._counters:
-            return self._counters[name].value
-        if name in self._gauges:
-            return self._gauges[name]()
-        raise KeyError(name)
-
     def snapshot(self) -> Dict[str, Any]:
         """Everything as one nested dict: dotted names become nesting."""
         self._materialize()
@@ -198,18 +178,6 @@ class MetricsRegistry:
             _nest(out, name, ts.summary())
         return out
 
-    def total(self, prefix: str) -> float:
-        """Sum of every numeric leaf at or under ``prefix`` — the helper
-        conservation tests use (``total("port") == sum of all port
-        counters`` would mix units, so callers pass full leaf groups like
-        ``"transport.retransmissions"`` or sum explicit subtrees)."""
-        node = self.snapshot()
-        for part in prefix.split("."):
-            if not isinstance(node, dict) or part not in node:
-                return 0.0
-            node = node[part]
-        return sum_numeric(node)
-
 
 def _nest(out: Dict[str, Any], dotted: str, value: Any) -> None:
     parts = dotted.split(".")
@@ -220,19 +188,6 @@ def _nest(out: Dict[str, Any], dotted: str, value: Any) -> None:
             nxt = node[part] = {}
         node = nxt
     node[parts[-1]] = value
-
-
-def sum_numeric(node: Any) -> float:
-    """Sum every numeric leaf of a nested snapshot fragment."""
-    if isinstance(node, bool):
-        return 0.0
-    if isinstance(node, (int, float)):
-        return float(node)
-    if isinstance(node, dict):
-        return sum(sum_numeric(v) for v in node.values())
-    if isinstance(node, (list, tuple)):
-        return sum(sum_numeric(v) for v in node)
-    return 0.0
 
 
 def merge_numeric(a: Any, b: Any) -> Any:

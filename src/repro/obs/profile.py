@@ -85,12 +85,6 @@ class EngineProfiler:
     def events_per_sec(self) -> float:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
 
-    def top_sites(self, n: int = 10):
-        """The ``n`` most expensive sites as (name, stats), by wall time."""
-        ranked = sorted(self.sites.items(),
-                        key=lambda kv: kv[1].wall_s, reverse=True)
-        return ranked[:n]
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready profile: totals, per-site calls and wall time, and
         the ranked qualname histogram (``top_sites``)."""
@@ -106,12 +100,3 @@ class EngineProfiler:
             "top_sites": rank_sites(sites),
         }
 
-    def report(self, n: int = 10) -> str:
-        """Human-readable top-N table (for interactive debugging)."""
-        lines = [
-            f"{self.events} events in {self.wall_s:.3f}s "
-            f"({self.events_per_sec:,.0f} events/s)"
-        ]
-        for name, s in self.top_sites(n):
-            lines.append(f"  {s.wall_s:8.3f}s  {s.calls:>10} calls  {name}")
-        return "\n".join(lines)

@@ -47,7 +47,6 @@ from repro.sim.failures import (
     schedule_bidirectional_failure,
     schedule_node_failure,
 )
-from repro.sim.host import Host
 from repro.sim.link import Link
 from repro.sim.packet import make_pause
 from repro.sim.switch import Switch
@@ -532,25 +531,6 @@ class NICFlap(NodeScenario):
                 )
 
 
-SCENARIO_KINDS = {
-    cls.kind: cls
-    for cls in (LinkFlap, FiberCut, GreyFailure, LossEpisode,
-                PartitionWindow, SwitchCrash, ToRReboot, HostCrash,
-                NICFlap, PauseStorm, DeadlockProbe)
-}
-
-
-def scenario_from_dict(spec: Dict[str, Any]) -> Scenario:
-    """Rebuild a scenario from :meth:`Scenario.describe` output."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    cls = SCENARIO_KINDS.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown scenario kind {kind!r}; "
-                         f"choose from {sorted(SCENARIO_KINDS)}")
-    return cls(**spec)
-
-
 def _attach_loss(link: Link, model) -> None:
     link.loss_model = model
 
@@ -714,13 +694,11 @@ def check_invariants(
             })
 
     # live_pending ignores cancelled tombstones, so leftover dead timers
-    # don't mask (or fake) a stuck flow; peek_time() then names the next
-    # genuinely live event.
+    # don't mask (or fake) a stuck flow.
     if sim.live_pending:
         violations.append({
             "invariant": "event_loop_not_drained",
             "live_pending": sim.live_pending,
-            "next_event_ps": sim.peek_time(),
         })
 
     obs = sim.obs

@@ -22,10 +22,11 @@ Two mechanisms keep the heap small on the packet hot path:
   half the heap the *cancel* that crossed the threshold rebuilds it in
   place, so pathological timer churn cannot degrade every subsequent
   heap operation — and the per-packet schedule path never re-checks.
-- **Event credits** (:meth:`Simulator.credit_events`): a component that
-  batch-advances several logical events inside one callback (a port
-  settling its precomputed drain schedule) credits the absorbed events,
-  keeping :attr:`Simulator.events_executed` equal to what the
+- **Event credits**: a component that batch-advances several logical
+  events inside one callback (a port settling its precomputed drain
+  schedule, in ``sim/queues.py`` and ``sim/link.py``) adds the absorbed
+  events to ``Simulator._n_executed`` inline, keeping
+  :attr:`Simulator.events_executed` equal to what the
   one-callback-per-packet reference path would have executed.
 """
 
@@ -178,20 +179,6 @@ class Simulator:
         handle.fired = False
         heapq.heappush(self._heap, (time, seq, handle))
 
-    def credit_events(self, n: int) -> None:
-        """Account ``n`` logical events that a batch-advance executed
-        without individual callbacks.
-
-        A component that coalesces several per-packet events into one
-        callback (a port settling its precomputed drain schedule)
-        credits the events it absorbed, so :attr:`events_executed`
-        keeps counting *simulation* events — the unit every benchmark
-        and the batch-vs-reference equality tests compare — rather
-        than Python callback invocations. ``max_events`` budgets count
-        callbacks only and are unaffected.
-        """
-        self._n_executed += n
-
     def _compact(self) -> None:
         """Drop tombstones and re-heapify, in place: ``run()`` holds a
         local reference to the heap list, so its identity must survive."""
@@ -310,29 +297,6 @@ class Simulator:
         profiler.add_wall(clock() - t_loop)
         return executed
 
-    def step(self) -> bool:
-        """Execute exactly one (non-cancelled) event; False if none remain."""
-        heap = self._heap
-        while heap:
-            time, _, handle = heapq.heappop(heap)
-            if handle.cancelled:
-                self._n_cancelled -= 1
-                continue
-            self.now = time
-            handle.fired = True
-            handle.fn(*handle.args)
-            self._n_executed += 1
-            return True
-        return False
-
-    @property
-    def pending(self) -> int:
-        """Raw heap length — live events AND cancelled tombstones still
-        awaiting their pop (or a compaction pass). For "is there anything
-        left to run" questions use :attr:`live_pending` or
-        :meth:`peek_time`, which ignore tombstones."""
-        return len(self._heap)
-
     @property
     def live_pending(self) -> int:
         """Number of heap entries that will actually fire (cancelled
@@ -343,11 +307,3 @@ class Simulator:
     @property
     def events_executed(self) -> int:
         return self._n_executed
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the next live event, or None."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._n_cancelled -= 1
-        return heap[0][0] if heap else None

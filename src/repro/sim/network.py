@@ -70,7 +70,7 @@ class Network:
         self.hosts: List[Host] = []
         self.switches: List[Switch] = []
         self.links: List[Link] = []
-        self._by_name: Dict[str, Node] = {}
+        self._names: set = set()
         # adjacency: node id -> list of (neighbor id, port key)
         self._adj: Dict[int, List[Tuple[int, PortKey]]] = {}
         # Draws the salt and stream seed of every switch and port, in
@@ -92,10 +92,10 @@ class Network:
     # -- construction ------------------------------------------------------
 
     def _register(self, node: Node) -> None:
-        if node.name in self._by_name:
+        if node.name in self._names:
             raise ValueError(f"duplicate node name {node.name!r}")
         self.nodes.append(node)
-        self._by_name[node.name] = node
+        self._names.add(node.name)
         self._adj[node.node_id] = []
 
     def add_host(self, name: str, dc: int = 0) -> Host:
@@ -194,9 +194,6 @@ class Network:
 
     # -- lookup --------------------------------------------------------------
 
-    def node(self, name: str) -> Node:
-        return self._by_name[name]
-
     def ports_between(self, a: Node, b: Node) -> List[Port]:
         """All egress ports at ``a`` feeding links toward ``b``."""
         return [
@@ -209,11 +206,6 @@ class Network:
         if not ports:
             raise LookupError(f"no link {a.name}->{b.name}")
         return ports[index]
-
-    def link_between(self, a: Node, b: Node, index: int = 0) -> Link:
-        """The index-th a->b unidirectional link."""
-        return self.port_between(a, b, index).link
-
     # -- routing ---------------------------------------------------------------
 
     def build_routes(self) -> None:

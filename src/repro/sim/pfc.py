@@ -231,21 +231,15 @@ class DeadlockWatchdog:
         self.deadlocks: List[Dict[str, Any]] = []
         self.scans = 0
         self._flagged: set = set()  # frozensets of node names, active
-        self._handle = sim.after(interval_ps, self._tick)
-
-    def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
+        sim.after(interval_ps, self._tick)
 
     def _tick(self) -> None:
-        self._handle = None
         now = self.sim.now
         self.scans += 1
         self._scan(now)
         nxt = now + self.interval_ps
         if self.until_ps is None or nxt <= self.until_ps:
-            self._handle = self.sim.after(self.interval_ps, self._tick)
+            self.sim.after(self.interval_ps, self._tick)
 
     def _stuck_edges(self, now: int) -> Dict[int, List[tuple]]:
         """node_id -> [(neighbor_id, port), ...] over window-old pauses."""

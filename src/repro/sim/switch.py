@@ -157,11 +157,6 @@ class Switch(FailureDomain):
         registry.gauge(f"{base}.down_node_drops", lambda: self.down_node_drops)
         registry.gauge(f"{base}.up", lambda: self.up)
 
-    def set_mode(self, mode: str) -> None:
-        if mode not in self.MODES:
-            raise ValueError(f"unknown selection mode {mode!r}")
-        self.mode = mode
-
     def receive(self, pkt: Packet) -> None:
         """Forward ``pkt`` toward its destination host.
 

@@ -8,9 +8,8 @@ enabled the series is registered in its metrics registry (under
 ``trace.queue.*`` / ``trace.rate.*``) so monitor data shows up in
 snapshots alongside counters and gauges.
 
-Both monitors are cancellable: :meth:`QueueMonitor.stop` /
-:meth:`RateMonitor.stop` cancel the pending self-rescheduled event, so a
-monitor can't keep an otherwise-idle event loop alive.
+A monitor samples until ``stop_ps``; without one it reschedules itself
+forever, so run the simulator with ``until``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 from repro.obs.metrics import TimeSeries, metric_key
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import EventHandle, Simulator
+    from repro.sim.engine import Simulator
     from repro.sim.queues import Port
 
 
@@ -55,8 +54,7 @@ class QueueMonitor:
         self._series = _backing_series(
             sim, f"trace.queue.{metric_key(port.name)}"
         )
-        self._stopped = False
-        self._next: Optional["EventHandle"] = sim.after(0, self._sample)
+        sim.after(0, self._sample)
 
     @property
     def samples(self) -> List[Tuple[int, int, float]]:
@@ -64,27 +62,13 @@ class QueueMonitor:
         return self._series.rows
 
     def _sample(self) -> None:
-        self._next = None
         now = self.sim.now
-        if self._stopped or (self.stop_ps is not None and now > self.stop_ps):
+        if self.stop_ps is not None and now > self.stop_ps:
             return
         self._series.append(
             now, self.port.occupancy_bytes(), self.port.phantom_occupancy()
         )
-        self._next = self.sim.after(self.interval_ps, self._sample)
-
-    def stop(self) -> None:
-        """Cancel the pending sample; the collected samples stay readable."""
-        self._stopped = True
-        if self._next is not None:
-            self._next.cancel()
-            self._next = None
-
-    def max_physical(self) -> int:
-        return self._series.max(1)
-
-    def mean_physical(self) -> float:
-        return self._series.mean(1)
+        self.sim.after(self.interval_ps, self._sample)
 
 
 class RateMonitor:
@@ -112,10 +96,7 @@ class RateMonitor:
         self.stop_ps = stop_ps
         self._series = _backing_series(sim, "trace.rate")
         self._last = [0] * len(self.flows)
-        self._stopped = False
-        self._next: Optional["EventHandle"] = sim.after(
-            interval_ps, self._sample
-        )
+        sim.after(interval_ps, self._sample)
 
     @property
     def times(self) -> List[int]:
@@ -126,9 +107,8 @@ class RateMonitor:
         return [self._series.column(i + 1) for i in range(len(self.flows))]
 
     def _sample(self) -> None:
-        self._next = None
         now = self.sim.now
-        if self._stopped or (self.stop_ps is not None and now > self.stop_ps):
+        if self.stop_ps is not None and now > self.stop_ps:
             return
         rates = []
         for i, flow in enumerate(self.flows):
@@ -138,14 +118,4 @@ class RateMonitor:
             # bytes over interval_ps picoseconds -> Gbps
             rates.append(delta * 8 / (self.interval_ps / 1000.0))
         self._series.append(now, *rates)
-        self._next = self.sim.after(self.interval_ps, self._sample)
-
-    def stop(self) -> None:
-        """Cancel the pending sample; the collected samples stay readable."""
-        self._stopped = True
-        if self._next is not None:
-            self._next.cancel()
-            self._next = None
-
-    def series(self, i: int) -> Tuple[List[int], List[float]]:
-        return self.times, self._series.column(i + 1)
+        self.sim.after(self.interval_ps, self._sample)

@@ -38,11 +38,6 @@ def gbps_to_bytes_per_ps(gbps: float) -> float:
     return gbps * 1e9 / 8 / 1e12
 
 
-def bytes_in_time(time_ps: int, gbps: float) -> float:
-    """How many bytes a ``gbps`` link moves in ``time_ps`` picoseconds."""
-    return time_ps * gbps_to_bytes_per_ps(gbps)
-
-
 def bdp_bytes(rtt_ps: int, gbps: float) -> int:
     """Bandwidth-delay product in bytes for a path of ``rtt_ps`` at ``gbps``."""
     return int(rtt_ps * gbps_to_bytes_per_ps(gbps))
@@ -60,13 +55,3 @@ def fmt_time(ps: int) -> str:
         return f"{ps / NS:.1f}ns"
     return f"{ps}ps"
 
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable byte size for logs and reports."""
-    if n >= GIB:
-        return f"{n / GIB:.2f}GiB"
-    if n >= MIB:
-        return f"{n / MIB:.2f}MiB"
-    if n >= KIB:
-        return f"{n / KIB:.2f}KiB"
-    return f"{int(n)}B"

@@ -8,7 +8,7 @@ All fabric links share one rate (non-oversubscribed), as in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.sim.host import Host
@@ -36,10 +36,6 @@ class FatTreeConfig:
     def __post_init__(self) -> None:
         if self.k < 2 or self.k % 2:
             raise ValueError(f"fat-tree arity must be even and >= 2, got k={self.k}")
-
-    @property
-    def n_hosts(self) -> int:
-        return self.k**3 // 4
 
     @property
     def n_cores(self) -> int:
@@ -72,7 +68,6 @@ class FatTree:
         self.edges: List[List[Switch]] = []
         self.hosts: List[Host] = []
         self._host_pod: dict[int, int] = {}
-        self._host_edge: dict[int, int] = {}
 
         for p in range(k):
             aggs = [
@@ -100,7 +95,6 @@ class FatTree:
                     host = net.add_host(f"{prefix}.p{p}.e{e}.h{h}", dc=dc)
                     self.hosts.append(host)
                     self._host_pod[host.node_id] = p
-                    self._host_edge[host.node_id] = e
                     # Host uplink: deep queue, no marking at the NIC; the
                     # edge->host direction is a fabric port (the incast
                     # bottleneck) with the fabric's marking config.
@@ -132,16 +126,3 @@ class FatTree:
 
     def pod_of(self, host: Host) -> int:
         return self._host_pod[host.node_id]
-
-    def edge_index_of(self, host: Host) -> int:
-        return self._host_edge[host.node_id]
-
-    def hops_one_way(self, a: Host, b: Host) -> int:
-        """Link count on the shortest path between two hosts of this DC."""
-        if a.node_id == b.node_id:
-            return 0
-        if self.pod_of(a) != self.pod_of(b):
-            return 6
-        if self.edge_index_of(a) != self.edge_index_of(b):
-            return 4
-        return 2

@@ -31,7 +31,7 @@ from repro.sim.host import Host
 from repro.sim.link import Link
 from repro.sim.network import Network
 from repro.sim.queues import PhantomQueueConfig, REDConfig
-from repro.sim.units import MIB, MS, US, ser_time_ps
+from repro.sim.units import MIB, MS, US
 from repro.topology.fattree import FatTree, FatTreeConfig
 
 
@@ -161,34 +161,3 @@ class MultiDC:
         while dst is src:
             dst = rng.choice(hosts)
         return src, dst
-
-    # -- RTT hints ---------------------------------------------------------
-
-    def hops_one_way(self, a: Host, b: Host) -> Tuple[int, int]:
-        """(fabric-ish links, border links) on the shortest a->b path."""
-        if a.dc == b.dc:
-            return self.dcs[a.dc].hops_one_way(a, b), 0
-        return 8, 1
-
-    def base_rtt_ps(self, a: Host, b: Host, pkt_bytes: int = 4096,
-                    ack_bytes: int = 64) -> int:
-        """Uncongested RTT estimate: propagation + per-hop serialization
-        of a full data packet out and an ACK back."""
-        cfg = self.config
-        fabric_hops, border_hops = self.hops_one_way(a, b)
-        prop = fabric_hops * cfg.fabric_prop_ps + border_hops * cfg.border_prop_ps
-        inter_gbps = cfg.inter_gbps or cfg.gbps
-        ser = fabric_hops * (
-            ser_time_ps(pkt_bytes, cfg.gbps) + ser_time_ps(ack_bytes, cfg.gbps)
-        ) + border_hops * (
-            ser_time_ps(pkt_bytes, inter_gbps) + ser_time_ps(ack_bytes, inter_gbps)
-        )
-        return 2 * prop + ser
-
-    def rtt_hint(self, a: Host, b: Host) -> int:
-        """The nominal RTT class the paper's parameters key off."""
-        return (
-            self.config.intra_rtt_ps
-            if a.dc == b.dc
-            else self.config.inter_rtt_ps
-        )

@@ -220,15 +220,6 @@ class SenderStats:
     def done(self) -> bool:
         return self.finish_ps is not None
 
-    @property
-    def aborted(self) -> bool:
-        return self.aborted_ps is not None
-
-    @property
-    def terminal(self) -> bool:
-        """Completed or aborted — the flow will never act again."""
-        return self.done or self.aborted
-
 
 class Receiver:
     """Plain receiver: ACK every data packet. Subclassed by UnoRC to add
@@ -610,16 +601,6 @@ class Sender:
             rem = self.size_bytes - seq * self.mss
             return rem if rem > 0 else self.mss
         return self.mss
-
-    def _has_work(self) -> bool:
-        return bool(self._retx_queue) or self._has_new_data()
-
-    def _has_new_data(self) -> bool:
-        return self._next_seq < self.total_data_pkts or self._codec_has_parity()
-
-    def _codec_has_parity(self) -> bool:
-        """Overridden by the UnoRC sender when parity is pending."""
-        return False
 
     def _window_allows(self, nbytes: int) -> bool:
         return self.inflight_bytes + nbytes <= self.cwnd

@@ -9,8 +9,6 @@ a sparse set of what lies above it, so it costs O(reorder window).
 from __future__ import annotations
 
 import sys
-from itertools import chain
-from typing import Iterator
 
 
 _NOTHING_ABOVE: frozenset = frozenset()
@@ -36,8 +34,8 @@ class WatermarkSet:
     starts as, and drains back to, one shared empty frozenset, so a
     stream that arrives in order (and every set at rest) holds two ints.
 
-    Supports what callers used on the builtin set: ``in``, ``add``,
-    ``len``, truthiness and iteration (in no particular order).
+    Supports what callers use on the builtin set: ``in``, ``add``,
+    ``len`` and truthiness.
     """
 
     __slots__ = ("floor", "split", "hi_floor", "above")
@@ -75,7 +73,3 @@ class WatermarkSet:
 
     def __len__(self) -> int:
         return self.floor + self.hi_floor - self.split + len(self.above)
-
-    def __iter__(self) -> Iterator[int]:
-        return chain(range(self.floor), range(self.split, self.hi_floor),
-                     self.above)

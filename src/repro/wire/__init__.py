@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # names for tools; at run time they load on first use
         ImpairmentEngine,
         ImpairmentProxy,
         Impairments,
-        impairments_from_dict,
         open_proxy,
     )
 
@@ -70,7 +69,6 @@ __all__ = [
     "ImpairmentEngine",
     "ImpairmentProxy",
     "Impairments",
-    "impairments_from_dict",
     "open_proxy",
     "compare_sim_wire",
 ]
@@ -84,8 +82,7 @@ _LAZY = {
                            "check_wire_invariants", "run_wire",
                            "wire_rtt_ps"),
     "repro.wire.proxy": ("ImpairmentEngine", "ImpairmentProxy",
-                         "Impairments", "impairments_from_dict",
-                         "open_proxy"),
+                         "Impairments", "open_proxy"),
     "repro.wire.compare": ("compare_sim_wire",),
 }
 __getattr__ = lazy_exports(__name__, _LAZY)

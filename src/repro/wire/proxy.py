@@ -89,15 +89,6 @@ class Impairments:
         return dict(asdict(self), kind=type(self).kind)
 
 
-def impairments_from_dict(doc: Dict[str, object]) -> Impairments:
-    """Rebuild an :class:`Impairments` from its ``describe()`` dict."""
-    fields = dict(doc)
-    kind = fields.pop("kind", Impairments.kind)
-    if kind != Impairments.kind:
-        raise ValueError(f"not an impairment record: kind {kind!r}")
-    return Impairments(**fields)
-
-
 class ImpairmentEngine:
     """Per-direction decision core: datagram in, delivery delays out.
 

@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # names for tools; at run time they load on first use
     from repro.workloads.generator import FlowSpec, PoissonTraffic, TrafficConfig
     from repro.workloads.patterns import incast_specs, permutation_pairs
     from repro.workloads.allreduce import RingAllreduce, AllreduceConfig
-    from repro.workloads.tracefile import load_builtin, load_cdf_file, save_cdf_file
+    from repro.workloads.tracefile import load_builtin
 
 __all__ = [
     "EmpiricalCDF",
@@ -38,8 +38,6 @@ __all__ = [
     "RingAllreduce",
     "AllreduceConfig",
     "load_builtin",
-    "load_cdf_file",
-    "save_cdf_file",
 ]
 
 _LAZY = {
@@ -51,7 +49,6 @@ _LAZY = {
                                   "TrafficConfig"),
     "repro.workloads.patterns": ("incast_specs", "permutation_pairs"),
     "repro.workloads.allreduce": ("RingAllreduce", "AllreduceConfig"),
-    "repro.workloads.tracefile": ("load_builtin", "load_cdf_file",
-                                  "save_cdf_file"),
+    "repro.workloads.tracefile": ("load_builtin",),
 }
 __getattr__ = lazy_exports(__name__, _LAZY)

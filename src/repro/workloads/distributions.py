@@ -66,20 +66,6 @@ class EmpiricalCDF:
             total += dp * (self.sizes[i] + self.sizes[i - 1]) / 2.0
         return total
 
-    def cdf(self, size: float) -> float:
-        """Cumulative probability at ``size``."""
-        sizes, probs = self.sizes, self.probs
-        if size <= sizes[0]:
-            return probs[0] if size == sizes[0] else 0.0
-        if size >= sizes[-1]:
-            return 1.0
-        i = bisect.bisect_right(sizes, size)
-        s0, s1 = sizes[i - 1], sizes[i]
-        p0, p1 = probs[i - 1], probs[i]
-        if s1 == s0:
-            return p1
-        return p0 + (size - s0) / (s1 - s0) * (p1 - p0)
-
     def scaled(self, factor: float, name: str = "") -> "EmpiricalCDF":
         """A copy with all sizes multiplied by ``factor`` (used to shrink
         workloads for quick Python-speed runs while preserving shape)."""

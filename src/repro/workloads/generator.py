@@ -10,25 +10,13 @@ come from per-class empirical CDFs (web search intra, Alibaba WAN inter).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.host import Host
     from repro.topology.multidc import MultiDC
     from repro.workloads.distributions import EmpiricalCDF
-
-
-def _websearch() -> EmpiricalCDF:
-    from repro.workloads.websearch import WEBSEARCH_CDF
-
-    return WEBSEARCH_CDF
-
-
-def _alibaba_wan() -> EmpiricalCDF:
-    from repro.workloads.alibaba_wan import ALIBABA_WAN_CDF
-
-    return ALIBABA_WAN_CDF
 
 
 @dataclass
@@ -42,12 +30,11 @@ class FlowSpec:
 
 @dataclass
 class TrafficConfig:
+    intra_cdf: EmpiricalCDF               # intra-DC flow sizes
+    inter_cdf: EmpiricalCDF               # inter-DC flow sizes
     load: float = 0.4                     # fraction of aggregate host capacity
     duration_ps: int = 50_000_000_000     # arrival window (50 ms)
     dc_to_wan_ratio: float = 4.0          # 4:1 intra:inter flows (paper 5.1)
-    # The default CDFs load when a config without its own is built.
-    intra_cdf: EmpiricalCDF = field(default_factory=_websearch)
-    inter_cdf: EmpiricalCDF = field(default_factory=_alibaba_wan)
     max_flows: Optional[int] = None       # hard cap for quick runs
     seed: int = 0
 

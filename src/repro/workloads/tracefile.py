@@ -1,9 +1,9 @@
-"""htsim-style CDF trace-file loading and saving.
+"""htsim-style CDF trace-file parsing.
 
 The paper's artifact ships its flow-size distributions as plain-text CDF
 files ("we include the files having the CDF flow size distribution in
-the actual repository"). This module reads and writes that conventional
-format so users can drop in their own traces:
+the actual repository"). This module reads that conventional format;
+``parse_cdf_text(Path(path).read_text())`` takes any trace in it:
 
     # comment lines start with '#'
     <size_bytes> <cumulative_probability>
@@ -17,8 +17,7 @@ by name.
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from repro.workloads.distributions import EmpiricalCDF
 
@@ -49,22 +48,6 @@ def parse_cdf_text(text: str, name: str = "") -> EmpiricalCDF:
     if not points:
         raise ValueError(f"{name or 'trace'}: no CDF points found")
     return EmpiricalCDF(points, name=name)
-
-
-def load_cdf_file(path: Union[str, Path]) -> EmpiricalCDF:
-    """Load a CDF trace file from disk."""
-    p = Path(path)
-    return parse_cdf_text(p.read_text(), name=p.stem)
-
-
-def save_cdf_file(cdf: EmpiricalCDF, path: Union[str, Path],
-                  header: str = "") -> None:
-    """Write ``cdf`` in the trace-file format."""
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
-    lines.extend(f"{int(s)} {p:.6f}" for s, p in zip(cdf.sizes, cdf.probs))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_builtin(name: str) -> EmpiricalCDF:

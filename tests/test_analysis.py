@@ -7,7 +7,6 @@ from repro.analysis.fct import (
     FCTSummary,
     ideal_fct_ps,
     percentile,
-    slowdowns,
     split_intra_inter,
     summarize_fcts,
 )
@@ -106,9 +105,11 @@ class TestIdealFCT:
         assert ideal > wire  # header overhead + RTT
 
     def test_slowdowns(self):
+        """Fig 11's slowdown, FCT over ``ideal_fct_ps``: at least one,
+        and larger for the slower of two equal flows."""
         stats = [stat(100, size=4096), stat(200, size=4096)]
-        sl = slowdowns(stats, lambda s: 50 * US, line_gbps=100.0)
-        assert len(sl) == 2
+        sl = [s.fct_ps / ideal_fct_ps(s.size_bytes, 50 * US, 100.0)
+              for s in stats]
         assert sl[0] < sl[1]
         assert all(x >= 1.0 for x in sl)
 

@@ -43,7 +43,7 @@ class TestSwitchCNPs:
         sim = Simulator()
         topo = incast_star(sim, 4, gbps=25.0, prop_ps=1 * US,
                            queue_bytes=256 * 1024, red=params.red())
-        sw = topo.net.node("sw")
+        sw = topo.net.switches[0]
         sw.qcn = QCNConfig(threshold_bytes=32 * 1024, min_interval_ps=10 * US)
         done = []
         senders = [

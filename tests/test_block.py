@@ -22,12 +22,6 @@ class TestBlockConfig:
         with pytest.raises(ValueError):
             BlockConfig(data_pkts=200, parity_pkts=100)
 
-    def test_block_of_seq(self):
-        cfg = BlockConfig(data_pkts=8, parity_pkts=2)
-        assert cfg.block_of_seq(0) == 0
-        assert cfg.block_of_seq(7) == 0
-        assert cfg.block_of_seq(8) == 1
-
     def test_n_blocks(self):
         cfg = BlockConfig(data_pkts=8, parity_pkts=2)
         assert cfg.n_blocks(1) == 1
@@ -41,12 +35,6 @@ class TestBlockConfig:
         assert cfg.data_pkts_in_block(1, 11) == 3
         with pytest.raises(ValueError):
             cfg.data_pkts_in_block(2, 11)
-
-    def test_recoverable(self):
-        cfg = BlockConfig(data_pkts=8, parity_pkts=2)
-        assert cfg.recoverable(received=8, block_data_pkts=8)
-        assert not cfg.recoverable(received=7, block_data_pkts=8)
-        assert cfg.recoverable(received=3, block_data_pkts=3)
 
 
 class TestBlockCodec:

@@ -55,9 +55,9 @@ class TestTotalBlackout:
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
         net = topo.net
-        sw = net.node("sw")
-        up = net.link_between(topo.senders[0], sw)
-        down = net.link_between(sw, topo.senders[0])
+        sw = net.switches[0]
+        up = net.port_between(topo.senders[0], sw).link
+        down = net.port_between(sw, topo.senders[0]).link
         schedule_bidirectional_failure(sim, up, down, fail_at_ps=100 * US,
                                        repair_after_ps=5 * MS)
         done = []
@@ -72,8 +72,8 @@ class TestTotalBlackout:
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
         net = topo.net
-        sw = net.node("sw")
-        net.link_between(topo.senders[0], sw).fail()
+        sw = net.switches[0]
+        net.port_between(topo.senders[0], sw).link.fail()
         done = []
         start_flow(sim, net, DCTCP(), topo.senders[0], topo.receivers[0],
                    MIB, base_rtt_ps=14 * US, on_complete=done.append)
@@ -88,9 +88,10 @@ class TestAckPathLoss:
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
         net = topo.net
-        sw = net.node("sw")
+        sw = net.switches[0]
         # Drop 20% of everything on the reverse (ACK) path.
-        net.link_between(sw, topo.senders[0]).loss_model = BernoulliLoss(0.2, 3)
+        net.port_between(sw, topo.senders[0]).link.loss_model = \
+            BernoulliLoss(0.2, 3)
         done = []
         s = start_flow(sim, net, DCTCP(), topo.senders[0], topo.receivers[0],
                        MIB, base_rtt_ps=14 * US, on_complete=done.append)

@@ -94,14 +94,19 @@ class TestCancellation:
         sim.run()
 
     def test_peek_time_skips_cancelled(self):
+        """The next event to run is the next live one: a cancelled
+        entry ahead of it is skipped, not executed."""
         sim = Simulator()
         h1 = sim.at(100, lambda: None)
         sim.at(200, lambda: None)
         h1.cancel()
-        assert sim.peek_time() == 200
+        assert sim.run(max_events=1) == 1
+        assert sim.now == 200
 
     def test_peek_time_empty(self):
-        assert Simulator().peek_time() is None
+        sim = Simulator()
+        assert sim.run(max_events=1) == 0
+        assert sim.now == 0
 
 
 class TestCounters:
@@ -117,7 +122,7 @@ class TestCounters:
         fired = []
         sim.at(10, fired.append, 1)
         sim.at(20, fired.append, 2)
-        assert sim.step() is True
+        assert sim.run(max_events=1) == 1
         assert fired == [1]
-        assert sim.step() is True
-        assert sim.step() is False
+        assert sim.run(max_events=1) == 1
+        assert sim.run(max_events=1) == 0

@@ -120,8 +120,8 @@ class TestScheduledFailures:
         sim.run(until=5 * US)
         assert not link.up
         assert link.failures == 1
-        assert sim.obs.metrics.value("failures.skipped") == 1
-        assert sim.obs.events.count("failure", "skipped") == 1
+        assert sim.obs.metrics.snapshot()["failures"]["skipped"] == 1
+        assert sim.obs.events.counts[("failure", "skipped")] == 1
 
     def test_restore_is_idempotent(self):
         sim = Simulator()

@@ -10,10 +10,16 @@ elem = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
 
 
+def _add(a, b):
+    """Field addition as the codec performs it: ``combine`` with unit
+    coefficients (XOR in characteristic 2)."""
+    return GF256.combine((1, 1), (bytes([a]), bytes([b])))[0]
+
+
 class TestFieldAxioms:
     @given(elem, elem)
     def test_add_commutative(self, a, b):
-        assert GF256.add(a, b) == GF256.add(b, a)
+        assert _add(a, b) == _add(b, a)
 
     @given(elem, elem)
     def test_mul_commutative(self, a, b):
@@ -25,13 +31,13 @@ class TestFieldAxioms:
 
     @given(elem, elem, elem)
     def test_distributive(self, a, b, c):
-        left = GF256.mul(a, GF256.add(b, c))
-        right = GF256.add(GF256.mul(a, b), GF256.mul(a, c))
+        left = GF256.mul(a, _add(b, c))
+        right = _add(GF256.mul(a, b), GF256.mul(a, c))
         assert left == right
 
     @given(elem)
     def test_additive_inverse_is_self(self, a):
-        assert GF256.add(a, a) == 0
+        assert _add(a, a) == 0
 
     @given(nonzero)
     def test_multiplicative_inverse(self, a):
@@ -47,15 +53,11 @@ class TestFieldAxioms:
 
     @given(elem, nonzero)
     def test_div_inverts_mul(self, a, b):
-        assert GF256.div(GF256.mul(a, b), b) == a
+        assert GF256.mul(GF256.mul(a, b), GF256.inv(b)) == a
 
     def test_inv_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             GF256.inv(0)
-
-    def test_div_by_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            GF256.div(5, 0)
 
     @given(nonzero, st.integers(min_value=0, max_value=300))
     def test_pow_matches_repeated_mul(self, a, n):

@@ -27,7 +27,8 @@ class TestExperimentScale:
     def test_quick_preserves_rtt_ratio(self):
         quick = ExperimentScale.quick().params()
         paper = ExperimentScale.paper().params()
-        assert quick.rtt_ratio == paper.rtt_ratio
+        assert (quick.inter_rtt_ps / quick.intra_rtt_ps
+                == paper.inter_rtt_ps / paper.intra_rtt_ps)
 
     def test_params_overrides(self):
         p = ExperimentScale.quick().params(inter_rtt_ps=4_000_000_000)

@@ -13,11 +13,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             net.add_host("h")
 
-    def test_node_lookup(self):
-        net = Network(Simulator())
-        h = net.add_host("alpha")
-        assert net.node("alpha") is h
-
     def test_parallel_links_get_distinct_ports(self):
         net = Network(Simulator())
         a = net.add_switch("a")
@@ -27,7 +22,7 @@ class TestConstruction:
         ports = net.ports_between(a, b)
         assert len(ports) == 2
         assert ports[0] is not ports[1]
-        assert net.link_between(a, b, 0) is not net.link_between(a, b, 1)
+        assert ports[0].link is not ports[1].link
 
     def test_port_between_missing_raises(self):
         net = Network(Simulator())

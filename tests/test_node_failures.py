@@ -14,7 +14,6 @@ from repro.sim.chaos import (
     SwitchCrash,
     ToRReboot,
     check_invariants,
-    scenario_from_dict,
     select_nodes,
 )
 from repro.sim.engine import Simulator
@@ -67,10 +66,10 @@ class TestFailureDomain:
         sw_a.fail()
         sw_b.fail()
         sw_a.restore()
-        ab = net.link_between(sw_a, sw_b)
-        ba = net.link_between(sw_b, sw_a)
+        ab = net.port_between(sw_a, sw_b).link
+        ba = net.port_between(sw_b, sw_a).link
         assert not ab.up and not ba.up  # peer still down
-        assert net.link_between(sw_a, sw_c).up
+        assert net.port_between(sw_a, sw_c).link.up
         sw_b.restore()
         assert ab.up and ba.up
 
@@ -182,7 +181,10 @@ class TestNodeScenarios:
                 selector="host", k=1),
     ])
     def test_describe_round_trips(self, scenario):
-        rebuilt = scenario_from_dict(scenario.describe())
+        record = scenario.describe()
+        assert record["kind"] == type(scenario).kind
+        rebuilt = type(scenario)(
+            **{k: v for k, v in record.items() if k != "kind"})
         assert rebuilt == scenario
         assert rebuilt.describe() == scenario.describe()
 
@@ -193,7 +195,7 @@ class TestNodeScenarios:
         targets = scenario.apply(sim, topo.net, random.Random(1))
         assert [n.name for n in targets] == ["borderA"]
         sim.run(until=10 * US)
-        assert not topo.net.node("borderA").up
+        assert not targets[0].up
 
     def test_nic_flap_keeps_host_up(self):
         sim = Simulator()
@@ -223,7 +225,9 @@ class TestAcceptance:
                        seed=2 + i)
             for i, (s, r) in enumerate(zip(topo.senders, topo.receivers))
         ]
-        schedule_node_failure(sim, topo.net.node("borderA"), 2 * MS)
+        border_a = next(sw for sw in topo.net.switches
+                        if sw.name == "borderA")
+        schedule_node_failure(sim, border_a, 2 * MS)
         sim.run(until=500 * MS)
         assert all(s.done for s in senders)
         assert check_invariants(sim, topo.net, senders, 500 * MS) == []

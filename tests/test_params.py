@@ -27,12 +27,10 @@ class TestTable2Defaults:
         assert p.intra_bdp_bytes == 175_000           # 14 us x 100 Gbps
         assert p.inter_bdp_bytes == 25_000_000        # 2 ms x 100 Gbps
         assert p.k_bytes == pytest.approx(25_000)
-        assert p.rtt_ratio == pytest.approx(2 * MS / (14 * US))
 
     def test_bdp_and_rtt_selectors(self):
         p = UnoParams()
-        assert p.bdp_for(False) == p.intra_bdp_bytes
-        assert p.bdp_for(True) == p.inter_bdp_bytes
+        assert p.base_rtt_for(False) == p.intra_rtt_ps
         assert p.base_rtt_for(True) == p.inter_rtt_ps
 
     def test_red_and_phantom_factories(self):

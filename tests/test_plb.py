@@ -1,11 +1,9 @@
 import pytest
 
-from repro.lb import set_spraying
 from repro.lb.plb import PLB, PLBConfig
 from repro.sim.engine import Simulator
 from repro.sim.packet import ACK, DATA, Packet
 from repro.sim.units import US
-from repro.topology.simple import incast_star
 
 
 class StubSender:
@@ -77,13 +75,3 @@ class TestPLB:
         e0 = plb.entropy(s, Packet(DATA, 1, 0, 1, seq=0, size=100))
         plb.on_nack_or_timeout(s)
         assert plb.repaths == 1
-
-
-class TestSetSpraying:
-    def test_toggles_all_switches(self):
-        sim = Simulator()
-        topo = incast_star(sim, 2)
-        set_spraying(topo.net, True)
-        assert all(sw.mode == "rps" for sw in topo.net.switches)
-        set_spraying(topo.net, False)
-        assert all(sw.mode == "ecmp" for sw in topo.net.switches)

@@ -65,8 +65,8 @@ class TestArgs:
         assert run_all.ALL == EXPERIMENTS
         for name in run_all.ALL:
             module = importlib.import_module(f"repro.experiments.{name}")
-            assert hasattr(module, "run")
-            assert hasattr(module, "main")
+            assert hasattr(module, "points")
+            assert hasattr(module, "report")
 
 
 class TestOutputLayout:

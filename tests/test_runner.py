@@ -25,6 +25,7 @@ from repro.experiments.runner import (
     failures,
     raise_failures,
     results_by_name,
+    run_experiment,
     run_points,
 )
 
@@ -79,9 +80,12 @@ class TestProtocolAcrossModules:
     @pytest.mark.parametrize("name", EXPERIMENTS)
     def test_module_speaks_full_protocol(self, name):
         module = experiment_module(name)
-        for attr in ("points", "run_point", "summarize", "run", "report",
-                     "main", "DEFAULT_SEED"):
+        for attr in ("points", "run_point", "summarize", "report",
+                     "DEFAULT_SEED"):
             assert hasattr(module, attr), f"{name} missing {attr}"
+        # One way to run an experiment: run_all --only NAME.
+        for attr in ("run", "main"):
+            assert not hasattr(module, attr), f"{name} grew its own {attr}()"
 
     def test_seed_override_propagates(self):
         for p in selftest.points(seed=77):
@@ -146,7 +150,7 @@ class TestRunnerDeterminism:
         records = run_points(selftest.points())
         res = selftest.summarize(results_by_name(records,
                                                  experiment="selftest"))
-        assert res == selftest.run()
+        assert res == run_experiment("selftest")
         assert 0.4 < res["grand_mean"] < 0.6
 
 

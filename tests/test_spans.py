@@ -98,8 +98,8 @@ def _run_incast(event_topics=None, senders=4, loss=False):
                        queue_bytes=32 * 1024)
     if loss:
         from repro.sim.failures import BernoulliLoss
-        sw = topo.net.node("sw")
-        topo.net.link_between(sw, topo.senders[0]).loss_model = \
+        sw = topo.net.switches[0]
+        topo.net.port_between(sw, topo.senders[0]).link.loss_model = \
             BernoulliLoss(0.05, seed=3)
     done = []
     flows = []

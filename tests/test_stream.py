@@ -7,9 +7,12 @@ import json
 from pathlib import Path
 
 from repro.experiments.progress import CampaignStream
-from repro.obs.events import read_jsonl
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _read_jsonl(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def _load_dashboard():
@@ -24,15 +27,16 @@ class TestCampaignStream:
     def test_record_vocabulary_round_trips(self, tmp_path):
         path = tmp_path / "campaign.jsonl"
         clock_t = [100.0]
-        with CampaignStream(path, clock=lambda: clock_t[0]) as stream:
-            stream.campaign_start(3, campaign="quick")
-            clock_t[0] += 1
-            stream.point("fig1:a", "ok", 1.25)
-            stream.point("fig1:b", "error", 0.5)
-            stream.retry("fig1:b", 1, "error")
-            stream.point("fig1:b", "ok", 0.75, cached=False)
-            stream.campaign_end(3, 0)
-        records = read_jsonl(path)
+        stream = CampaignStream(path, clock=lambda: clock_t[0])
+        stream.campaign_start(3, campaign="quick")
+        clock_t[0] += 1
+        stream.point("fig1:a", "ok", 1.25)
+        stream.point("fig1:b", "error", 0.5)
+        stream.retry("fig1:b", 1, "error")
+        stream.point("fig1:b", "ok", 0.75, cached=False)
+        stream.campaign_end(3, 0)
+        stream.close()
+        records = _read_jsonl(path)
         assert [r["kind"] for r in records] == [
             "campaign_start", "point", "point", "retry", "point",
             "campaign_end"]
@@ -49,11 +53,11 @@ class TestCampaignStream:
         stream = CampaignStream(path)
         stream.campaign_start(1)
         # Readable before close: the crash-safety contract.
-        assert len(read_jsonl(path)) == 1
+        assert len(_read_jsonl(path)) == 1
         stream.close()
         stream.close()  # idempotent
         stream.emit("point")  # no-op after close
-        assert len(read_jsonl(path)) == 1
+        assert len(_read_jsonl(path)) == 1
 
 
 class TestDashboardConsumer:
@@ -77,12 +81,13 @@ class TestDashboardConsumer:
     def test_campaign_state_folds_stream(self, tmp_path):
         dash = _load_dashboard()
         path = tmp_path / "campaign.jsonl"
-        with CampaignStream(path) as stream:
-            stream.campaign_start(2, campaign="demo")
-            stream.point("a", "ok", 0.1, cached=True)
-            stream.retry("b", 1, "timeout")
-            stream.point("b", "error", 0.2)
-            stream.campaign_end(2, 1)
+        stream = CampaignStream(path)
+        stream.campaign_start(2, campaign="demo")
+        stream.point("a", "ok", 0.1, cached=True)
+        stream.retry("b", 1, "timeout")
+        stream.point("b", "error", 0.2)
+        stream.campaign_end(2, 1)
+        stream.close()
         state = dash.CampaignState()
         for rec in dash.JSONLTail(path).poll():
             state.feed(rec)
@@ -96,10 +101,11 @@ class TestDashboardConsumer:
         out = tmp_path / "out"
         (out / "telemetry").mkdir(parents=True)
         (out / "summaries").mkdir()
-        with CampaignStream(out / "telemetry" / "campaign.jsonl") as s:
-            s.campaign_start(1, campaign="demo")
-            s.point("a", "ok", 0.1)
-            s.campaign_end(1, 0)
+        s = CampaignStream(out / "telemetry" / "campaign.jsonl")
+        s.campaign_start(1, campaign="demo")
+        s.point("a", "ok", 0.1)
+        s.campaign_end(1, 0)
+        s.close()
         (out / "summaries" / "chaos-demo.json").write_text(json.dumps({
             "n_points": 2, "total_violations": 0,
             "all_flows_terminal": True}))

@@ -65,9 +65,6 @@ class TestForwarding:
         net = Network(sim)
         with pytest.raises(ValueError):
             net.add_switch("bad", mode="wormhole")
-        sw = net.add_switch("ok")
-        with pytest.raises(ValueError):
-            sw.set_mode("wormhole")
 
 
 class TestECMPSelection:

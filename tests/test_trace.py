@@ -33,8 +33,7 @@ class TestQueueMonitor:
             start_flow(sim, topo.net, DCTCP(), s, topo.receivers[0],
                        MIB, base_rtt_ps=14 * US, seed=i)
         sim.run(until=10**12)
-        assert mon.max_physical() > 0
-        assert mon.mean_physical() >= 0
+        assert max(q for _, q, _ in mon.samples) > 0
 
 
 class TestRateMonitor:
@@ -46,7 +45,7 @@ class TestRateMonitor:
         mon = RateMonitor(sim, [sender], probe=lambda s: s.stats.bytes_acked,
                           interval_ps=50 * US)
         sim.run(until=10**12)
-        times, rates = mon.series(0)
+        times, rates = mon.times, mon.rates_gbps[0]
         assert len(times) == len(rates)
         # Single unimpeded flow should approach line rate at some point.
         assert max(rates) > 50.0
@@ -61,20 +60,18 @@ class TestRateMonitor:
 
 
 class TestStop:
+    """``stop_ps`` ends a monitor's self-rescheduling sample, so it
+    cannot keep an otherwise idle event loop alive."""
+
     def test_queue_monitor_stop_cancels_pending_event(self):
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
-        mon = QueueMonitor(sim, topo.bottleneck, interval_ps=10 * US)
-        sim.run(until=35 * US)
-        n = len(mon.samples)
-        assert n == 4  # t = 0, 10, 20, 30 us
-        mon.stop()
-        # Without stop() the self-rescheduling sample would keep the
-        # otherwise-idle event loop alive forever.
-        sim.run()
-        assert len(mon.samples) == n
-        assert sim.now == 35 * US  # nothing left to execute
-        mon.stop()  # idempotent
+        mon = QueueMonitor(sim, topo.bottleneck, interval_ps=10 * US,
+                           stop_ps=35 * US)
+        sim.run()  # drains: the 40 us sample does not reschedule
+        assert [t for t, _, _ in mon.samples] == [0, 10 * US, 20 * US,
+                                                  30 * US]
+        assert sim.now == 40 * US
 
     def test_rate_monitor_stop_cancels_pending_event(self):
         sim = Simulator()
@@ -83,13 +80,10 @@ class TestStop:
                             topo.receivers[0], 256 * 1024,
                             base_rtt_ps=14 * US)
         mon = RateMonitor(sim, [sender], probe=lambda s: s.stats.bytes_acked,
-                          interval_ps=50 * US)
-        sim.run(until=200 * US)
-        n = len(mon.times)
-        mon.stop()
-        sim.run(until=10**12)
+                          interval_ps=50 * US, stop_ps=200 * US)
+        sim.run()
         assert sender.done
-        assert len(mon.times) == n
+        assert mon.times == [50 * US, 100 * US, 150 * US, 200 * US]
 
     def test_registry_backed_series_when_telemetry_on(self):
         from repro.obs import enable

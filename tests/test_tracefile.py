@@ -2,12 +2,7 @@ import pytest
 
 from repro.workloads.alibaba_wan import ALIBABA_WAN_CDF
 from repro.workloads.google_rpc import GOOGLE_RPC_CDF
-from repro.workloads.tracefile import (
-    load_builtin,
-    load_cdf_file,
-    parse_cdf_text,
-    save_cdf_file,
-)
+from repro.workloads.tracefile import load_builtin, parse_cdf_text
 from repro.workloads.websearch import WEBSEARCH_CDF
 
 
@@ -31,21 +26,6 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(ValueError, match="no CDF points"):
             parse_cdf_text("# only comments\n")
-
-
-class TestRoundTrip:
-    def test_save_load(self, tmp_path):
-        path = tmp_path / "ws.cdf"
-        save_cdf_file(WEBSEARCH_CDF, path, header="test header")
-        loaded = load_cdf_file(path)
-        assert loaded.sizes == WEBSEARCH_CDF.sizes
-        assert loaded.probs == pytest.approx(WEBSEARCH_CDF.probs)
-
-    def test_header_written(self, tmp_path):
-        path = tmp_path / "x.cdf"
-        save_cdf_file(GOOGLE_RPC_CDF, path, header="line1\nline2")
-        text = path.read_text()
-        assert text.startswith("# line1\n# line2\n")
 
 
 class TestBuiltins:

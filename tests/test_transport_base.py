@@ -32,7 +32,8 @@ def run_one_flow(size, loss_p=0.0, cwnd=1 << 20, horizon=10**12):
     sim = Simulator()
     topo = incast_star(sim, 1, prop_ps=1 * US)
     if loss_p:
-        bl = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        bl = topo.net.port_between(topo.senders[0],
+                                   topo.net.switches[0]).link
         bl.loss_model = BernoulliLoss(loss_p, seed=5)
     done = []
     sender = start_flow(
@@ -91,7 +92,7 @@ class TestWindowEnforcement:
             topo.receivers[0], 1 * MIB, base_rtt_ps=40 * US,
         )
         max_seen = 0
-        while sim.step():
+        while sim.run(max_events=1):
             max_seen = max(max_seen, sender.inflight_bytes)
         assert sender.done
         assert max_seen <= cwnd
@@ -190,7 +191,8 @@ class TestRTOBackoff:
         """A sender whose packets all vanish: every RTO expires in turn."""
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
-        bl = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        bl = topo.net.port_between(topo.senders[0],
+                                   topo.net.switches[0]).link
         sender = start_flow(
             sim, topo.net, FixedWindow(1 << 20), topo.senders[0],
             topo.receivers[0], 64 * 1024, base_rtt_ps=14 * US, **kwargs,
@@ -205,7 +207,7 @@ class TestRTOBackoff:
         seen = []
         last = sender.stats.timeouts
         while sender._rto_backoff < sender.rto_backoff_max:
-            sim.run(until=sim.peek_time())
+            sim.run(max_events=1)
             if sender.stats.timeouts > last:
                 last = sender.stats.timeouts
                 seen.append(sender.rto_ps)
@@ -250,7 +252,8 @@ class TestAbortPolicy:
         """A flow whose host uplink fails shortly after start."""
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
-        bl = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        bl = topo.net.port_between(topo.senders[0],
+                                   topo.net.switches[0]).link
         done = []
         sender = start_flow(
             sim, topo.net, FixedWindow(1 << 20), topo.senders[0],
@@ -336,7 +339,8 @@ class TestReceiverIdleTimeout:
         # must unregister itself rather than leak its endpoint.
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
-        bl = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        bl = topo.net.port_between(topo.senders[0],
+                                   topo.net.switches[0]).link
         sender = start_flow(
             sim, topo.net, FixedWindow(1 << 20), topo.senders[0],
             topo.receivers[0], 256 * 1024, base_rtt_ps=14 * US,
@@ -379,12 +383,13 @@ class TestReceiverIdleTimeout:
         sim.run(until=2_000 * MS)
         assert sender.done
         assert not receiver.idled_out
-        assert sim.peek_time() is None  # no timer left ticking
+        assert sim.live_pending == 0  # no timer left ticking
 
     def test_idle_timeout_disabled_with_none(self):
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
-        bl = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        bl = topo.net.port_between(topo.senders[0],
+                                   topo.net.switches[0]).link
         sender = start_flow(
             sim, topo.net, FixedWindow(1 << 20), topo.senders[0],
             topo.receivers[0], 256 * 1024, base_rtt_ps=14 * US,

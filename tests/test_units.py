@@ -1,16 +1,11 @@
 import pytest
 
 from repro.sim.units import (
-    GIB,
-    KIB,
-    MIB,
     MS,
     NS,
     SEC,
     US,
     bdp_bytes,
-    bytes_in_time,
-    fmt_bytes,
     fmt_time,
     gbps_to_bytes_per_ps,
     ser_time_ps,
@@ -58,9 +53,6 @@ class TestBDP:
     def test_bytes_per_ps(self):
         assert gbps_to_bytes_per_ps(100.0) == pytest.approx(0.0125)
 
-    def test_bytes_in_time(self):
-        assert bytes_in_time(1 * US, 100.0) == pytest.approx(12_500)
-
 
 class TestFormatting:
     def test_fmt_time_units(self):
@@ -69,9 +61,3 @@ class TestFormatting:
         assert fmt_time(3 * US) == "3.000us"
         assert fmt_time(4 * MS) == "4.000ms"
         assert fmt_time(2 * SEC) == "2.000s"
-
-    def test_fmt_bytes_units(self):
-        assert fmt_bytes(512) == "512B"
-        assert fmt_bytes(2 * KIB) == "2.00KiB"
-        assert fmt_bytes(3 * MIB) == "3.00MiB"
-        assert fmt_bytes(GIB) == "1.00GiB"

@@ -16,7 +16,8 @@ def launch_rc_flow(sim, topo, size, rc=None, loss_p=0.0, drop_parity_only=False,
                    seed=3, cc=None):
     rc = rc or UnoRCConfig(block=BlockConfig(4, 2))
     if loss_p:
-        link = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        link = topo.net.port_between(topo.senders[0],
+                                     topo.net.switches[0]).link
         link.loss_model = BernoulliLoss(loss_p, seed=seed)
     done = []
     sender = start_flow(
@@ -113,7 +114,8 @@ class TestParityRecovery:
         retransmission of that packet."""
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
-        link = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        link = topo.net.port_between(topo.senders[0],
+                                     topo.net.switches[0]).link
         dropped = []
 
         def drop_seq_1(pkt, now):
@@ -136,7 +138,8 @@ class TestParityRecovery:
         retransmits the missing data packets."""
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
-        link = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        link = topo.net.port_between(topo.senders[0],
+                                     topo.net.switches[0]).link
         to_drop = {0, 1, 2}
 
         def drop_first_three(pkt, now):
@@ -173,7 +176,8 @@ class TestBlockCompleteAck:
         outstanding or be retransmitted later."""
         sim = Simulator()
         topo = incast_star(sim, 1, prop_ps=1 * US)
-        link = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        link = topo.net.port_between(topo.senders[0],
+                                     topo.net.switches[0]).link
         link.loss_model = lambda p, now: p.seq == 2 and p.retx == 0
         sender, done = launch_rc_flow(sim, topo, 4 * 4096)
         sim.run(until=10**12)
@@ -191,9 +195,10 @@ class TestReceiverTimer:
         # Kill the reverse path so NACKs/ACKs never arrive: receiver NACKs
         # max_nacks times then stops.
         sender, done = launch_rc_flow(sim, topo, 4 * 4096, rc=rc)
-        rev = topo.net.link_between(topo.net.node("sw"), topo.senders[0])
+        rev = topo.net.port_between(topo.net.switches[0], topo.senders[0]).link
         rev.fail()
-        fwd_drop = topo.net.link_between(topo.senders[0], topo.net.node("sw"))
+        fwd_drop = topo.net.port_between(topo.senders[0],
+                                         topo.net.switches[0]).link
         fwd_drop.loss_model = lambda p, now: p.seq >= 2  # block never decodable
         sim.run(until=5_000 * US)
         recv = sender.receiver

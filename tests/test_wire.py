@@ -17,7 +17,6 @@ from repro.wire.harness import WireFlowSpec, run_wire
 from repro.wire.proxy import (
     ImpairmentEngine,
     Impairments,
-    impairments_from_dict,
 )
 
 
@@ -105,9 +104,8 @@ class TestImpairments:
                           blackhole_start_ms=10.0, blackhole_ms=5.0)
         doc = imp.describe()
         assert doc["kind"] == "wire_impairments"
-        assert impairments_from_dict(doc) == imp
-        with pytest.raises(ValueError):
-            impairments_from_dict({"kind": "not_impairments"})
+        assert Impairments(
+            **{k: v for k, v in doc.items() if k != "kind"}) == imp
 
     def test_same_seed_same_fates(self):
         imp = Impairments(delay_ms=1.0, jitter_ms=0.5, loss_rate=0.2,

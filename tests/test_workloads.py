@@ -35,9 +35,11 @@ class TestEmpiricalCDF:
         assert cdf.quantile(1.0) == 200
 
     def test_cdf_inverts_quantile(self):
-        cdf = EmpiricalCDF([(100, 0.0), (200, 0.5), (1000, 1.0)])
-        for p in (0.1, 0.5, 0.75, 0.99):
-            assert cdf.cdf(cdf.quantile(p)) == pytest.approx(p, abs=1e-9)
+        points = [(100, 0.0), (200, 0.5), (1000, 1.0)]
+        cdf = EmpiricalCDF(points)
+        for size, p in points:
+            assert cdf.quantile(p) == size
+        assert cdf.quantile(0.75) == pytest.approx(600)
 
     def test_mean_of_uniform_segment(self):
         cdf = EmpiricalCDF([(100, 0.0), (200, 1.0)])
@@ -76,7 +78,7 @@ class TestEmpiricalCDF:
 class TestPaperDistributions:
     def test_websearch_is_heavy_tailed(self):
         # Most flows small, most bytes in big flows.
-        assert WEBSEARCH_CDF.cdf(100_000) >= 0.5
+        assert WEBSEARCH_CDF.quantile(0.5) <= 100_000
         assert WEBSEARCH_CDF.mean() > 1_000_000
 
     def test_alibaba_wan_spans_to_300mb(self):
@@ -84,8 +86,13 @@ class TestPaperDistributions:
         assert ALIBABA_WAN_CDF.mean() > WEBSEARCH_CDF.mean()
 
     def test_google_rpc_is_small(self):
-        assert GOOGLE_RPC_CDF.cdf(4096) >= 0.7
+        assert GOOGLE_RPC_CDF.quantile(0.7) <= 4096
         assert GOOGLE_RPC_CDF.mean() < 20_000
+
+
+def _config(**kwargs):
+    return TrafficConfig(intra_cdf=WEBSEARCH_CDF, inter_cdf=ALIBABA_WAN_CDF,
+                         **kwargs)
 
 
 class TestPoissonTraffic:
@@ -95,12 +102,12 @@ class TestPoissonTraffic:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TrafficConfig(load=0.0)
+            _config(load=0.0)
         with pytest.raises(ValueError):
-            TrafficConfig(duration_ps=0)
+            _config(duration_ps=0)
 
     def test_offered_load_close_to_target(self, topo):
-        cfg = TrafficConfig(load=0.4, duration_ps=20_000_000_000, seed=2)
+        cfg = _config(load=0.4, duration_ps=20_000_000_000, seed=2)
         gen = PoissonTraffic(topo, cfg)
         specs = gen.generate()
         offered_bytes = sum(s.size_bytes for s in specs)
@@ -110,14 +117,14 @@ class TestPoissonTraffic:
         assert achieved == pytest.approx(0.4, rel=0.35)
 
     def test_traffic_mix_is_4_to_1(self, topo):
-        cfg = TrafficConfig(load=0.5, duration_ps=50_000_000_000, seed=3)
+        cfg = _config(load=0.5, duration_ps=50_000_000_000, seed=3)
         specs = PoissonTraffic(topo, cfg).generate()
         inter = sum(s.is_inter_dc for s in specs)
         frac = inter / len(specs)
         assert frac == pytest.approx(0.2, abs=0.05)
 
     def test_deterministic_given_seed(self, topo):
-        cfg = TrafficConfig(load=0.3, duration_ps=10_000_000_000, seed=9)
+        cfg = _config(load=0.3, duration_ps=10_000_000_000, seed=9)
         a = PoissonTraffic(topo, cfg).generate()
         b = PoissonTraffic(topo, cfg).generate()
         assert [(s.start_ps, s.size_bytes) for s in a] == [
@@ -125,19 +132,19 @@ class TestPoissonTraffic:
         ]
 
     def test_max_flows_cap(self, topo):
-        cfg = TrafficConfig(load=0.5, duration_ps=10**12, max_flows=17, seed=1)
+        cfg = _config(load=0.5, duration_ps=10**12, max_flows=17, seed=1)
         specs = PoissonTraffic(topo, cfg).generate()
         assert len(specs) == 17
 
     def test_arrivals_sorted_and_in_window(self, topo):
-        cfg = TrafficConfig(load=0.3, duration_ps=10_000_000_000, seed=5)
+        cfg = _config(load=0.3, duration_ps=10_000_000_000, seed=5)
         specs = PoissonTraffic(topo, cfg).generate()
         starts = [s.start_ps for s in specs]
         assert starts == sorted(starts)
         assert all(0 <= t < cfg.duration_ps for t in starts)
 
     def test_inter_flows_cross_dcs(self, topo):
-        cfg = TrafficConfig(load=0.3, duration_ps=20_000_000_000, seed=6)
+        cfg = _config(load=0.3, duration_ps=20_000_000_000, seed=6)
         specs = PoissonTraffic(topo, cfg).generate()
         for s in specs:
             assert s.is_inter_dc == (s.src.dc != s.dst.dc)

@@ -6,17 +6,17 @@ events scheduled for the same picosecond fire in scheduling order. Handles
 support O(1) cancellation (the loop skips cancelled entries on pop), which
 is how retransmission timers and block timers are rescheduled cheaply.
 
-Two mechanisms keep the heap small on the packet hot path:
+Three mechanisms keep the heap small on the packet hot path:
 
-- **Coalesced event streams** (:meth:`Simulator.reserve_seq` /
-  :meth:`Simulator.at_seq` / :meth:`Simulator.rearm`): a component whose
-  events are inherently FIFO — link deliveries at constant propagation
-  delay, back-to-back port serializations — keeps ONE armed heap entry
-  and re-arms it for the next head instead of scheduling one event per
-  packet. Reserving the tie-break ``seq`` at the instant the event
-  *would* have been scheduled makes the coalesced stream fire in exactly
-  the per-event order: the heap orders by ``(time, seq)`` and does not
-  require seqs to be pushed monotonically.
+- **Coalesced event streams** (:meth:`Simulator.at_seq` /
+  :meth:`Simulator.rearm`): a component whose events are inherently
+  FIFO — link deliveries at constant propagation delay, back-to-back
+  port serializations — keeps ONE armed heap entry and re-arms it for
+  the next head instead of scheduling one event per packet. The
+  component bumps ``Simulator._seq`` inline at the instant an event
+  *would* have been scheduled and keeps that seq with the event; the
+  heap orders by ``(time, seq)`` and does not require seqs to be pushed
+  monotonically, so the stream fires in exactly the per-event order.
 - **Tombstone compaction**: cancelled handles stay in the heap as
   tombstones (cancellation is O(1) amortised); when tombstones reach
   half the heap the *cancel* that crossed the threshold rebuilds it in
@@ -26,8 +26,8 @@ Two mechanisms keep the heap small on the packet hot path:
   events inside one callback (a port settling its precomputed drain
   schedule, in ``sim/queues.py`` and ``sim/link.py``) adds the absorbed
   events to ``Simulator._n_executed`` inline, keeping
-  :attr:`Simulator.events_executed` equal to what the
-  one-callback-per-packet reference path would have executed.
+  :attr:`Simulator.events_executed` equal to what one callback per
+  packet would have executed.
 """
 
 from __future__ import annotations
@@ -141,19 +141,10 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, handle))
         return handle
 
-    def reserve_seq(self) -> int:
-        """Claim the tie-break sequence the next scheduled event would
-        get. Coalesced event streams (link delivery deques) reserve a seq
-        per deferred event at the instant it *would* have been scheduled,
-        then arm the real heap entry later with :meth:`at_seq` — firing
-        order stays identical to the one-event-per-packet schedule."""
-        self._seq += 1
-        return self._seq
-
     def at_seq(self, time: int, seq: int, fn: Callable[..., Any],
                *args: Any) -> EventHandle:
-        """Schedule with a previously :meth:`reserve_seq`-reserved
-        tie-breaker. ``time`` must be >= now, as with :meth:`at`."""
+        """Schedule with a tie-breaker the caller drew earlier by bumping
+        ``_seq``. ``time`` must be >= now, as with :meth:`at`."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule in the past: t={time} < now={self.now}"
@@ -162,22 +153,19 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
-    def rearm(self, handle: EventHandle, time: int,
-              seq: Optional[int] = None) -> None:
+    def rearm(self, handle: EventHandle, time: int) -> None:
         """Re-push a handle that has already fired (it must not be in the
         heap, and must not be cancelled). This is the allocation-free way
         for a component with one perpetual event — a port's serializer,
         a link's delivery drain — to schedule its next firing: no new
-        EventHandle, just one heap entry. With ``seq`` None a fresh
-        tie-breaker is drawn, exactly as ``at(time, ...)`` would."""
+        EventHandle, just one heap entry with a fresh tie-breaker, exactly
+        as ``at(time, ...)`` would draw."""
         if handle.cancelled:
             raise ValueError("cannot rearm a cancelled handle")
-        if seq is None:
-            self._seq += 1
-            seq = self._seq
+        self._seq += 1
         handle.time = time
         handle.fired = False
-        heapq.heappush(self._heap, (time, seq, handle))
+        heapq.heappush(self._heap, (time, self._seq, handle))
 
     def _compact(self) -> None:
         """Drop tombstones and re-heapify, in place: ``run()`` holds a

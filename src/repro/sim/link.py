@@ -10,26 +10,24 @@ Delivery is **coalesced**: propagation delay is constant and ``sim.now``
 is monotonic, so deliveries on one link are inherently FIFO. Instead of
 one heap event per in-flight packet, the link keeps an internal deque of
 ``(deliver_ps, seq, pkt)`` and ONE armed engine event that drains every
-due entry and re-arms for the next head. ``seq`` is reserved from the
-engine at transmit time (:meth:`Simulator.reserve_seq`), so the drain
-event carries exactly the ``(time, seq)`` key the per-packet schedule
-would have used — firing order is provably identical (the heap orders by
-that key and nothing else). On a high-BDP inter-DC link this replaces
-hundreds of heap entries with one. Set the module flag
-``COALESCED_DELIVERY = False`` before constructing links to get the
-reference one-event-per-packet path (the determinism tests diff the two).
+due entry and re-arms for the next head. ``seq`` is drawn from the
+engine (an inline ``Simulator._seq`` bump) at transmit time, so the
+drain event carries exactly the ``(time, seq)`` key a per-packet
+schedule would have used — firing order is identical by construction
+(the heap orders by that key and nothing else). On a high-BDP inter-DC
+link this replaces hundreds of heap entries with one.
 
 The feeding :class:`~repro.sim.queues.Port` may additionally
-**batch-advance** its drain (see ``queues.BATCH_DRAIN``): it appends
-each packet to the in-flight deque at *enqueue* time with the precomputed
-serialization-finish instant, instead of calling :meth:`transmit` from a
-per-packet finish callback. Scheduled entries sit in the same deque
-(their wire-entry time is ``deliver_ps - prop_ps``); anything that could
-change a not-yet-on-the-wire packet's fate — ``fail()``, attaching a
-loss model, a direct :meth:`transmit` racing ahead of the schedule —
-first *recalls* the future entries to the port (:meth:`_recall` /
-``Port._rollback``), which replays them through the reference per-packet
-path so failure and loss semantics stay event-for-event identical.
+**batch-advance** its drain: it appends each packet to the in-flight
+deque at *enqueue* time with the precomputed serialization-finish
+instant, instead of calling :meth:`transmit` from a per-packet finish
+callback. Scheduled entries sit in the same deque (their wire-entry time
+is ``deliver_ps - prop_ps``); anything that could change a
+not-yet-on-the-wire packet's fate — ``fail()``, attaching a loss model,
+a direct :meth:`transmit` racing ahead of the schedule — first *recalls*
+the future entries to the port (:meth:`_recall` / ``Port._rollback``),
+which replays them through the per-packet serializer so failure and
+loss semantics stay event-for-event identical.
 """
 
 from __future__ import annotations
@@ -46,9 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # A loss model maps (packet, now_ps) -> True when the packet is lost.
 LossModel = Callable[[Packet, int], bool]
-
-# Reference-path escape hatch, read once per Link at construction.
-COALESCED_DELIVERY = True
 
 
 class Link:
@@ -74,7 +69,6 @@ class Link:
         "_inflight",
         "_drain_handle",
         "_drain_armed",
-        "_coalesce",
     )
 
     def __init__(
@@ -117,7 +111,6 @@ class Link:
         self._inflight: deque = deque()
         self._drain_handle = None
         self._drain_armed = False
-        self._coalesce = COALESCED_DELIVERY
         self._obs = sim.obs
         self._events = self._obs.events if self._obs is not None else None
         if self._obs is not None:
@@ -158,9 +151,9 @@ class Link:
 
     @property
     def inflight_pkts(self) -> int:
-        """Packets currently propagating (coalesced path only) — under
-        batch-advance this includes packets still serializing at the
-        feeding port (their wire-entry time is in the future)."""
+        """Packets currently propagating — under batch-advance this
+        includes packets still serializing at the feeding port (their
+        wire-entry time is in the future)."""
         return len(self._inflight)
 
     @property
@@ -171,7 +164,7 @@ class Link:
         recalls any batch-scheduled future packets back to the feeding
         port, so packets that had not reached the wire when the model was
         attached get their loss draw at serialization-finish time exactly
-        as the reference per-packet path would."""
+        as the per-packet serializer would."""
         return self._loss_model
 
     @loss_model.setter
@@ -207,31 +200,28 @@ class Link:
             self.lost_pkts += 1
             self._emit_pkt_loss(pkt, sim.now)
             return
-        if self._coalesce:
-            q = self._inflight
-            # Inlined sim.reserve_seq(): one bump per transmitted packet.
-            seq = sim._seq = sim._seq + 1
-            q.append((sim.now + self.prop_ps, seq, pkt))
-            if not self._drain_armed:
-                self._drain_armed = True
-                t, s, _ = q[0]
-                handle = self._drain_handle
-                if handle is None:
-                    self._drain_handle = sim.at_seq(t, s, self._drain)
-                else:
-                    # sim.rearm(handle, t, s) inlined (hot path).
-                    handle.time = t
-                    handle.fired = False
-                    heappush(sim._heap, (t, s, handle))
-        else:
-            sim.after(self.prop_ps, self._deliver, pkt)
+        q = self._inflight
+        # Inline seq draw: one bump per transmitted packet.
+        seq = sim._seq = sim._seq + 1
+        q.append((sim.now + self.prop_ps, seq, pkt))
+        if not self._drain_armed:
+            self._drain_armed = True
+            t, s, _ = q[0]
+            handle = self._drain_handle
+            if handle is None:
+                self._drain_handle = sim.at_seq(t, s, self._drain)
+            else:
+                # Re-arm with the head's own seq (hot path, inlined).
+                handle.time = t
+                handle.fired = False
+                heappush(sim._heap, (t, s, handle))
 
     def _recall(self, expect: int) -> list:
         """Hand back every scheduled packet not yet on the wire, in FIFO
         order, for the feeding port's rollback to re-serialize through
-        the reference path. ``expect`` is the port's unsettled schedule
-        length; a mismatch means the port/link handshake lost a packet
-        and is raised rather than silently corrupted."""
+        the per-packet serializer. ``expect`` is the port's unsettled
+        schedule length; a mismatch means the port/link handshake lost a
+        packet and is raised rather than silently corrupted."""
         q = self._inflight
         now = self.sim.now
         prop = self.prop_ps
@@ -311,17 +301,6 @@ class Link:
             handle.fired = False
             heappush(sim._heap, (t, s, handle))
 
-    def _deliver(self, pkt: Packet) -> None:
-        # Reference (per-packet-event) path. A failure while the packet
-        # was in flight also kills it; the coalesced path flushes these
-        # eagerly in fail() instead.
-        if not self.up:
-            self.failed_drops += 1
-            self._emit_failed_drop(pkt, self.sim.now)
-            return
-        self.delivered_pkts += 1
-        self._sink.receive(pkt)
-
     def _emit_failed_drop(self, pkt: Packet, now: int) -> None:
         ev = self._events
         if ev is not None and ev.wants("failure"):
@@ -365,9 +344,9 @@ class Link:
             # Batch-scheduled packets that have not reached the wire are
             # NOT in flight: recall them to the port before the flush so
             # they re-serialize and hit the down link as per-packet
-            # failed_drops at their finish times, as the reference path
-            # would. (_batch invalidates either way: no new commits while
-            # the link is down.)
+            # failed_drops at their finish times, as the per-packet
+            # serializer would. (_batch invalidates either way: no new
+            # commits while the link is down.)
             self._port._rollback()
         self.failures += 1
         obs = self._obs

@@ -16,21 +16,22 @@ one of its outgoing links. It models:
   any physical buffer (paper sections 3.2, 4.1.3).
 
 Steady-state FIFO work is **batch-advanced**: when no decision can change
-between a packet's enqueue and its serialization finish — coalesced link,
-no loss model, no PFC, no INT stamping — the port computes the finish
-time at *enqueue* (exact integer arithmetic, identical to the per-packet
-path's) and hands the packet straight to the link's in-flight deque, so
-the engine never runs a per-packet finish callback.
+between a packet's enqueue and its serialization finish — link up, no
+loss model, no PFC, no INT stamping — the port computes the finish time
+at *enqueue* (exact integer arithmetic, identical to the per-packet
+serializer's) and hands the packet straight to the link's in-flight
+deque, so the engine never runs a per-packet finish callback. Which path
+a port takes is decided from that observable state alone
+(:meth:`Port._refresh_batch`); ports with PFC, INT, a loss model or a
+failed link serialize one ``_finish_tx`` event per packet.
 The pending finishes live in a drain *schedule* ``(finish_ps, size)``;
 occupancy/tx counters are settled lazily from it (every read goes through
 a settle), and each settled entry credits one engine event so
-``events_executed`` matches the reference path. Any boundary where a
-decision could change — PFC arming, INT enablement, link failure or
-loss-model attach, a control frame racing the schedule — *rolls back*:
-unfinished packets return to the FIFO and re-serialize via the reference
-per-packet path, keeping behavior event-for-event identical. Set the
-module flag ``BATCH_DRAIN = False`` before constructing ports to force
-the reference path everywhere (the equality tests diff the two).
+``events_executed`` matches the per-packet serializer's. Any boundary
+where a decision could change — PFC arming, INT enablement, link failure
+or loss-model attach, a control frame racing the schedule — *rolls back*:
+unfinished packets return to the FIFO and re-serialize per packet,
+keeping behavior event-for-event identical.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ from repro.sim.units import MIB, gbps_to_bytes_per_ps
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.link import Link
-
-# Batch-advance escape hatch: evaluated on every (re)computation of a
-# port's batch eligibility, so tests flip it before building a topology
-# to force the reference one-callback-per-packet path.
-BATCH_DRAIN = True
 
 # Serialization-memo entries per port before it is cleared. A constant
 # like the ECMP memo's bound: the memoized function is pure, so the
@@ -203,7 +199,6 @@ class Port:
         "red_marked_pkts",
         "phantom_marked_pkts",
         "tx_bytes",
-        "monitor",
         "_events",
         "int_t_ref_ps",
         "_int_win_start",
@@ -302,10 +297,6 @@ class Port:
         self._xoff = False
         self._xoff_bytes = 0
         self._xon_bytes = 0
-        # Optional callable(port, event, pkt, info): fired on "drop" and
-        # "mark"; for marks ``info`` carries the decision
-        # {"phys": bool, "phantom": bool} (a mark may come from both).
-        self.monitor = None
         obs = sim.obs
         self._events = obs.events if obs is not None else None
         if obs is not None:
@@ -332,7 +323,7 @@ class Port:
 
         # The batch path settles lazily: settle before reading, so a
         # snapshot between a burst's finishes and the next enqueue/drain
-        # reports what the reference per-packet path would.
+        # reports what the per-packet serializer would.
         def tx_bytes():
             self.occupancy_bytes()
             return self.tx_bytes
@@ -352,7 +343,7 @@ class Port:
         if t_ref_ps <= 0:
             raise ValueError("INT reference time must be positive")
         # Packets not yet on the wire must be stamped at their finish
-        # times (the reference path stamps in _finish_tx).
+        # times (the per-packet serializer stamps in _finish_tx).
         self._rollback()
         self.int_t_ref_ps = t_ref_ps
 
@@ -368,7 +359,7 @@ class Port:
             # Settle finished serializations first (loop inlined from
             # _settle — once per packet in steady state): the drop/RED/
             # phantom decisions below must see exactly the occupancy the
-            # reference per-packet path would (its _finish_tx events for
+            # per-packet serializer would (its _finish_tx events for
             # those packets fired before this enqueue).
             bq = self.bytes_queued
             n = 0
@@ -385,8 +376,6 @@ class Port:
                 ev.emit("queue", "drop", t=now, port=self.name,
                         flow=pkt.flow_id, seq=pkt.seq, size=size,
                         queued_bytes=occupancy)
-            if self.monitor is not None:
-                self.monitor(self, "drop", pkt, {})
             return False
         # RNG draw order (RED first, then phantom) is load-bearing: it
         # must not depend on whether telemetry is attached. RED is
@@ -418,9 +407,6 @@ class Port:
                 ev.emit("queue", "mark", t=now, port=self.name,
                         flow=pkt.flow_id, seq=pkt.seq,
                         phys=red_marked, phantom=phantom_marked)
-            if self.monitor is not None:
-                self.monitor(self, "mark", pkt,
-                             {"phys": red_marked, "phantom": phantom_marked})
         self.enqueued_pkts += 1
         if ev is not None and ev.wants("queue"):
             ev.emit("queue", "enqueue", t=now, port=self.name,
@@ -521,7 +507,7 @@ class Port:
         ``now``: move their bytes from queued to transmitted and credit
         one engine event each (the _finish_tx callbacks the batch-advance
         absorbed). Called from every occupancy read and from the link's
-        delivery drain, so observers always see reference-exact state."""
+        delivery drain, so observers always see per-packet-exact state."""
         sched = self._sched
         bq = self.bytes_queued
         n = 0
@@ -536,19 +522,16 @@ class Port:
     def _refresh_batch(self) -> bool:
         """(Re)compute batch-advance eligibility. True only when nothing
         can alter a packet's fate between enqueue and serialization
-        finish: coalesced clean wired up-link, no PFC, no INT stamping,
-        not paused."""
+        finish: clean wired up-link, no PFC (which also rules out a
+        controller and a pause: only ``configure_pfc`` sets ``pfc``, and
+        ``pause()`` ignores ports without PFC), no INT stamping."""
         link = self.link
         ok = bool(
-            BATCH_DRAIN
-            and link._coalesce
-            and link.up
+            link.up
             and link._loss_model is None
             and link._sink is not None
             and not self.pfc_enabled
-            and self.pfc is None
             and self.int_t_ref_ps is None
-            and not self._paused
         )
         self._batch = ok
         return ok
@@ -557,8 +540,8 @@ class Port:
         """Leave batch mode: recall every committed packet whose
         serialization has not finished, put them back at the FIFO head in
         order, and arm the classic serializer at the (unchanged) finish
-        time of the in-progress head — from here on the reference
-        per-packet path runs, seeing exactly the state it would have."""
+        time of the in-progress head — from here on the per-packet
+        serializer runs, seeing exactly the state it would have."""
         self._batch = None
         sched = self._sched
         if sched:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import enable
 from repro.sim.engine import Simulator
 from repro.sim.failures import schedule_bidirectional_failure
 from repro.sim.packet import DATA, Packet
@@ -104,39 +105,35 @@ class TestAckPathLoss:
 class TestMonitorHookAndCounters:
     def test_drop_monitor_callback(self):
         sim = Simulator()
+        bundle = enable(sim, event_topics="all", profile=False)
         topo = incast_star(sim, 1, prop_ps=1 * US, queue_bytes=8192)
-        events = []
-        topo.bottleneck.monitor = (
-            lambda port, kind, pkt, info: events.append(kind)
-        )
         for i in range(5):
             topo.bottleneck.enqueue(
                 Packet(DATA, 1, 0, 1, seq=i, size=4096)
             )
-        assert events.count("drop") == 3
+        drops = bundle.events.events(topic="queue", kind="drop")
+        assert [e["seq"] for e in drops] == [2, 3, 4]
+        assert {e["port"] for e in drops} == {topo.bottleneck.name}
 
     def test_mark_monitor_callback_carries_decision(self):
         from repro.sim.queues import PhantomQueueConfig, REDConfig
 
         sim = Simulator()
+        bundle = enable(sim, event_topics="all", profile=False)
         topo = incast_star(
             sim, 1, prop_ps=1 * US, queue_bytes=64 * 1024,
             red=REDConfig(min_frac=0.0, max_frac=0.0),  # always RED-mark
             phantom=PhantomQueueConfig(mark_threshold_bytes=1),
         )
-        seen = []
-        topo.bottleneck.monitor = (
-            lambda port, kind, pkt, info: seen.append((kind, info))
-        )
+        port = topo.bottleneck
         for i in range(3):
-            topo.bottleneck.enqueue(Packet(DATA, 1, 0, 1, seq=i, size=4096))
-        marks = [info for kind, info in seen if kind == "mark"]
-        assert marks, "monitor never fired on a mark"
+            port.enqueue(Packet(DATA, 1, 0, 1, seq=i, size=4096))
+        marks = [e for e in bundle.events.events(topic="queue", kind="mark")
+                 if e["port"] == port.name]
+        assert marks, "no mark event on the queue topic"
         for info in marks:
-            assert set(info) == {"phys", "phantom"}
             assert info["phys"] or info["phantom"]
         assert all(info["phys"] for info in marks)  # RED always marks here
-        port = topo.bottleneck
         assert port.marked_pkts == len(marks)
         assert port.red_marked_pkts == sum(i["phys"] for i in marks)
         assert port.phantom_marked_pkts == sum(i["phantom"] for i in marks)

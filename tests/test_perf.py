@@ -11,8 +11,6 @@ import random
 
 import pytest
 
-import repro.sim.link as link_mod
-import repro.sim.queues as queues_mod
 from repro import obs
 from repro.experiments import fig1
 from repro.experiments.api import canonical_json
@@ -44,7 +42,8 @@ class TestEngine:
     def test_same_picosecond_scheduling_order_property(self):
         """Same-time events fire in scheduling order, no matter how they
         were scheduled: plain at(), cancelled tombstones in between, or
-        reserved seqs armed later (in shuffled arming order)."""
+        seqs reserved by an inline ``_seq`` bump (as Link.transmit and
+        Port.enqueue draw them) and armed later in shuffled order."""
         rng = random.Random(7)
         for _ in range(25):
             sim = Simulator()
@@ -58,7 +57,8 @@ class TestEngine:
                 elif style == 1:
                     sim.at(t, fired.append, -1).cancel()
                 else:
-                    reserved.append((sim.reserve_seq(), i))
+                    sim._seq += 1
+                    reserved.append((sim._seq, i))
                     expected.append(i)
             rng.shuffle(reserved)  # push order must not matter
             for seq, i in reserved:
@@ -85,7 +85,7 @@ class TestEngine:
         sim.at(10, lambda: None)
         sim.run()
         with pytest.raises(ValueError):
-            sim.at_seq(5, sim.reserve_seq(), lambda: None)
+            sim.at_seq(5, sim._seq + 1, lambda: None)
 
     def test_live_pending_excludes_tombstones(self):
         sim = Simulator()
@@ -127,27 +127,25 @@ class TestEngine:
         sim.run()
         assert fired == [1, 1]
 
-    def test_credit_events_counts_as_executed(self):
+    def test_credit_events_counts_as_executed(self, per_packet_ports):
         """A batch-drained port retires several serializations inside one
         callback and credits each to ``events_executed`` (the inline bump
         in sim/queues.py and sim/link.py): the count equals the
-        reference path's although fewer callbacks ran."""
-        runs = {}
-        old = queues_mod.BATCH_DRAIN
-        try:
-            for batch in (True, False):
-                queues_mod.BATCH_DRAIN = batch
-                sim = Simulator()
-                link = Link(sim, 100.0, prop_ps=5 * US)
-                link.connect(_TraceSink(sim))
-                port = Port(sim, link, capacity_bytes=64_000)
-                for i in range(10):
-                    port.enqueue(_data(i))
-                runs[batch] = (sim.run(), sim.events_executed)
-        finally:
-            queues_mod.BATCH_DRAIN = old
-        assert runs[True][1] == runs[False][1]
-        assert runs[True][0] < runs[True][1]
+        per-packet serializer's although fewer callbacks ran."""
+        def run():
+            sim = Simulator()
+            link = Link(sim, 100.0, prop_ps=5 * US)
+            link.connect(_TraceSink(sim))
+            port = Port(sim, link, capacity_bytes=64_000)
+            for i in range(10):
+                port.enqueue(_data(i))
+            return sim.run(), sim.events_executed
+
+        batched = run()
+        with per_packet_ports():
+            per_packet = run()
+        assert batched[1] == per_packet[1]
+        assert batched[0] < batched[1]
 
     def test_run_until_pushes_back_future_event(self):
         sim = Simulator()
@@ -218,22 +216,6 @@ class TestLinkCoalescing:
         assert bundle.events.events(topic="failure",
                                     kind="failed_drop")[0]["seq"] == 3
 
-    def test_reference_path_inflight_failure_emits_event(self, monkeypatch):
-        # Satellite bugfix: the per-packet path used to drop silently
-        # when the link failed mid-flight.
-        monkeypatch.setattr(link_mod, "COALESCED_DELIVERY", False)
-        sim = Simulator()
-        bundle = enable(sim, event_topics="all", profile=False)
-        link = Link(sim, 100.0, prop_ps=5 * US, name="l")
-        link.connect(_Sink())
-        link.transmit(_data(9))
-        sim.run(until=2 * US)
-        link.fail()
-        sim.run()
-        assert link.failed_drops == 1
-        assert bundle.events.events(topic="failure",
-                                    kind="failed_drop")[0]["seq"] == 9
-
     def test_restore_after_fail_delivers_again(self):
         sim = Simulator()
         link = Link(sim, 100.0, prop_ps=5 * US)
@@ -249,7 +231,7 @@ class TestLinkCoalescing:
 
 
 # ----------------------------------------------------------------------
-# determinism: coalesced vs reference path, repeat runs
+# determinism: repeat runs
 # ----------------------------------------------------------------------
 
 
@@ -280,15 +262,6 @@ def _mixed_traffic_summary(seed: int):
 
 
 class TestDeterminism:
-    def test_coalesced_matches_reference_path(self, monkeypatch):
-        """The coalesced delivery stream is event-for-event identical to
-        the one-heap-entry-per-packet reference path: byte-identical
-        summaries AND the same executed-event count."""
-        coalesced = _mixed_traffic_summary(71)
-        monkeypatch.setattr(link_mod, "COALESCED_DELIVERY", False)
-        reference = _mixed_traffic_summary(71)
-        assert coalesced == reference
-
     def test_repeat_run_byte_identical(self):
         assert _mixed_traffic_summary(43) == _mixed_traffic_summary(43)
 
@@ -300,7 +273,7 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# batch-advance: adversarial boundary equality vs the reference path
+# batch-advance: adversarial boundary equality vs the per-packet path
 # ----------------------------------------------------------------------
 
 
@@ -316,7 +289,7 @@ class _TraceSink:
         self.got.append((self.sim.now, pkt.seq, pkt.ecn, pkt.int_util))
 
 
-def _burst_trace(batch, actions=(), npkts=40, gap_ps=49_991,
+def _burst_trace(actions=(), npkts=40, gap_ps=49_991,
                  capacity=64_000, size=1500):
     """Drive one port+link with a paced burst that outruns the 120 ns/pkt
     serializer, so a queue builds mid-burst. ``actions`` fire mid-burst
@@ -326,35 +299,30 @@ def _burst_trace(batch, actions=(), npkts=40, gap_ps=49_991,
 
     The inter-arrival gap is coprime to the 120,000 ps serialization
     time so no enqueue lands on the exact picosecond of a finish: at
-    such a tie the relative order is a heap-seq coin flip that the batch
-    path resolves differently from the reference (the sanctioned
+    such a tie the relative order is a heap-seq coin flip that a batched
+    port resolves differently from a per-packet one (the sanctioned
     divergence documented in DESIGN.md "Performance"), which is not the
     behavior under test here."""
-    old = queues_mod.BATCH_DRAIN
-    queues_mod.BATCH_DRAIN = batch
-    try:
-        sim = Simulator()
-        link = Link(sim, 100.0, prop_ps=5 * US)
-        sink = _TraceSink(sim)
-        link.connect(sink)
-        port = Port(sim, link, capacity_bytes=capacity, seed=11)
-        state = {"sim": sim, "port": port, "link": link, "sink": sink}
-        for i in range(npkts):
-            sim.at(1_000 + i * gap_ps, port.enqueue, _data(i, size))
-        for t, fn in actions:
-            sim.at(t, fn, state)
-        sim.run()
-        return (
-            sink.got,
-            dict(tx_bytes=port.tx_bytes, drops=port.drops,
-                 marked=port.marked_pkts, red=port.red_marked_pkts,
-                 enqueued=port.enqueued_pkts,
-                 queued=port.occupancy_bytes(),
-                 delivered=link.delivered_pkts),
-            sim.events_executed,
-        )
-    finally:
-        queues_mod.BATCH_DRAIN = old
+    sim = Simulator()
+    link = Link(sim, 100.0, prop_ps=5 * US)
+    sink = _TraceSink(sim)
+    link.connect(sink)
+    port = Port(sim, link, capacity_bytes=capacity, seed=11)
+    state = {"sim": sim, "port": port, "link": link, "sink": sink}
+    for i in range(npkts):
+        sim.at(1_000 + i * gap_ps, port.enqueue, _data(i, size))
+    for t, fn in actions:
+        sim.at(t, fn, state)
+    sim.run()
+    return (
+        sink.got,
+        dict(tx_bytes=port.tx_bytes, drops=port.drops,
+             marked=port.marked_pkts, red=port.red_marked_pkts,
+             enqueued=port.enqueued_pkts,
+             queued=port.occupancy_bytes(),
+             delivered=link.delivered_pkts),
+        sim.events_executed,
+    )
 
 
 def _pfc_pause(state):
@@ -371,7 +339,7 @@ def _pfc_resume(state):
 
 def _loss_model_mid_burst(state):
     # Packets already on the wire are past the draw; the recalled ones
-    # take it at their serialization finishes, in the reference order.
+    # take it at their serialization finishes, in the per-packet order.
     rng = random.Random(1)
     state["link"].loss_model = lambda pkt, now: rng.random() < 0.2
 
@@ -384,48 +352,68 @@ def _fail_mid_burst(state):
     state["link"].fail()
 
 
+def _both_paths(per_packet_ports, **kw):
+    """Run one burst on a batching port and on a per-packet one."""
+    batch = _burst_trace(**kw)
+    with per_packet_ports():
+        return batch, _burst_trace(**kw)
+
+
 class TestBatchAdvance:
     """The batch-advanced drain must be event-for-event identical to the
-    reference one-callback-per-packet path (BATCH_DRAIN = False) at every
-    adversarial decision boundary."""
+    one-callback-per-packet serializer (forced by ``per_packet_ports``)
+    at every adversarial decision boundary."""
 
-    def test_red_crossed_mid_burst(self):
+    def test_per_packet_ports_never_hold_a_schedule(self, per_packet_ports,
+                                                    monkeypatch):
+        # Guard for the seam itself: under the fixture every packet must
+        # go through _finish_tx and no drain schedule may ever exist, or
+        # the differential tests below would compare batch to batch.
+        finishes = []
+        finish_tx = Port._finish_tx
+
+        def checked_finish(port):
+            assert not port._sched
+            finishes.append(port.name)
+            finish_tx(port)
+
+        monkeypatch.setattr(Port, "_finish_tx", checked_finish)
+        with per_packet_ports():
+            got, counters, _ = _burst_trace(capacity=24_000)
+        assert len(finishes) == counters["enqueued"] == len(got) > 0
+
+    def test_red_crossed_mid_burst(self, per_packet_ports):
         # capacity 24 KB: the burst walks occupancy through RED's
         # probabilistic band, into always-mark, and over the tail-drop
         # line — every enqueue-time decision, same RNG draw order.
-        batch = _burst_trace(True, capacity=24_000)
-        ref = _burst_trace(False, capacity=24_000)
+        batch, ref = _both_paths(per_packet_ports, capacity=24_000)
         assert batch == ref
         assert batch[1]["marked"] > 0 and batch[1]["drops"] > 0
 
-    def test_pfc_pause_mid_burst(self):
+    def test_pfc_pause_mid_burst(self, per_packet_ports):
         actions = [(400_007, _pfc_pause), (1_500_013, _pfc_resume)]
-        batch = _burst_trace(True, actions=actions)
-        ref = _burst_trace(False, actions=actions)
+        batch, ref = _both_paths(per_packet_ports, actions=actions)
         assert batch == ref
         assert batch[1]["delivered"] == 40
 
-    def test_loss_model_mid_burst(self):
+    def test_loss_model_mid_burst(self, per_packet_ports):
         actions = [(500_003, _loss_model_mid_burst)]
-        batch = _burst_trace(True, actions=actions)
-        ref = _burst_trace(False, actions=actions)
+        batch, ref = _both_paths(per_packet_ports, actions=actions)
         assert batch == ref
         assert batch[1]["delivered"] == 32
 
-    def test_enable_int_mid_burst(self):
+    def test_enable_int_mid_burst(self, per_packet_ports):
         actions = [(500_003, _enable_int_mid_burst)]
-        batch = _burst_trace(True, actions=actions)
-        ref = _burst_trace(False, actions=actions)
+        batch, ref = _both_paths(per_packet_ports, actions=actions)
         assert batch == ref
         # Split burst: packets serialized before the switch carry no
         # stamp, the recalled ones are stamped at their finishes.
         stamps = [got[3] for got in batch[0]]
         assert stamps[0] == 0.0 and max(stamps) > 0.0
 
-    def test_link_fail_mid_burst(self):
+    def test_link_fail_mid_burst(self, per_packet_ports):
         actions = [(500_003, _fail_mid_burst)]
-        batch = _burst_trace(True, actions=actions)
-        ref = _burst_trace(False, actions=actions)
+        batch, ref = _both_paths(per_packet_ports, actions=actions)
         assert batch == ref
 
     @pytest.mark.parametrize("leave", [
@@ -436,7 +424,7 @@ class TestBatchAdvance:
     def test_idle_port_leaves_batch_mode(self, leave):
         # An empty drain schedule takes _rollback()'s early return: the
         # cached eligibility must still be dropped, so the next packet
-        # serializes through the reference per-packet path.
+        # serializes through the per-packet serializer.
         sim = Simulator()
         link = Link(sim, 100.0, prop_ps=5 * US)
         link.connect(_TraceSink(sim))
@@ -448,15 +436,10 @@ class TestBatchAdvance:
         port.enqueue(_data(1))
         assert not port._sched and port._busy
 
-    def test_mixed_traffic_matches_reference(self):
-        old = queues_mod.BATCH_DRAIN
-        try:
-            queues_mod.BATCH_DRAIN = True
-            batched = _mixed_traffic_summary(71)
-            queues_mod.BATCH_DRAIN = False
+    def test_mixed_traffic_matches_reference(self, per_packet_ports):
+        batched = _mixed_traffic_summary(71)
+        with per_packet_ports():
             reference = _mixed_traffic_summary(71)
-        finally:
-            queues_mod.BATCH_DRAIN = old
         assert batched == reference
 
 

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from repro.sim import link as link_mod
 from repro.sim.chaos import (
     DeadlockProbe,
     PauseStorm,
@@ -407,7 +406,7 @@ class TestScenarios:
 class TestConservationUnderPause:
     """The satellite invariant: bytes frozen in a paused queue at the
     horizon are held in the FIFO — conservation, pause accounting, and
-    the stalled-port check all stay clean on both delivery paths."""
+    the stalled-port check all stay clean."""
 
     def line_with_flow(self, sim):
         net = Network(sim, seed=1)
@@ -422,10 +421,7 @@ class TestConservationUnderPause:
                             line_gbps=25.0, seed=3)
         return net, s1, h2, [sender]
 
-    @pytest.mark.parametrize("coalesced", [True, False])
-    def test_paused_bytes_at_horizon_are_held_not_leaked(
-            self, coalesced, monkeypatch):
-        monkeypatch.setattr(link_mod, "COALESCED_DELIVERY", coalesced)
+    def test_paused_bytes_at_horizon_are_held_not_leaked(self):
         sim = Simulator()
         net, s1, h2, senders = self.line_with_flow(sim)
         port = s1.ports[(h2.node_id, 0)]
@@ -441,10 +437,7 @@ class TestConservationUnderPause:
         assert "stalled_port" not in kinds
         assert "flow_stuck" in kinds
 
-    @pytest.mark.parametrize("coalesced", [True, False])
-    def test_resume_completes_the_flow_cleanly(self, coalesced,
-                                               monkeypatch):
-        monkeypatch.setattr(link_mod, "COALESCED_DELIVERY", coalesced)
+    def test_resume_completes_the_flow_cleanly(self):
         sim = Simulator()
         net, s1, h2, senders = self.line_with_flow(sim)
         port = s1.ports[(h2.node_id, 0)]

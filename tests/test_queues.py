@@ -1,6 +1,5 @@
 import pytest
 
-import repro.sim.queues as queues_mod
 from repro.obs import TelemetryContext
 from repro.sim.engine import Simulator
 from repro.sim.link import Link
@@ -223,12 +222,11 @@ class TestPortIntrospection:
         assert port.occupancy_bytes() == 0
         assert port.phantom_occupancy() == 0.0
 
-    def test_gauges_settle_before_reading(self, monkeypatch):
+    def test_gauges_settle_before_reading(self, per_packet_ports):
         """A telemetry snapshot taken after a burst's serializations
         finished but before the next enqueue/drain settles the batch
-        schedule must read what the reference per-packet path reads."""
-        def snapshot(batch):
-            monkeypatch.setattr(queues_mod, "BATCH_DRAIN", batch)
+        schedule must read what the per-packet serializer reads."""
+        def snapshot():
             with TelemetryContext(profile=False):
                 sim = Simulator()
                 port, _ = make_port(sim, capacity=1_000_000, prop=1 * MS)
@@ -239,6 +237,7 @@ class TestPortIntrospection:
             return {k: gauges[k]
                     for k in ("tx_bytes", "queued_bytes", "queued_pkts")}
 
-        reference = snapshot(False)
+        with per_packet_ports():
+            reference = snapshot()
         assert reference == dict(tx_bytes=41600, queued_bytes=0, queued_pkts=0)
-        assert snapshot(True) == reference
+        assert snapshot() == reference

@@ -143,8 +143,6 @@ RENTS: Dict[str, Tuple[str, List[str]]] = {
     "test-oracle": (
         "a reference tier-1 compares the production path against", [
             "sim/switch.py::flow_hash",
-            "sim/link.py::Link._deliver",
-            "sim/engine.py::Simulator.reserve_seq",
             "sim/failures.py::GilbertElliottParams.stationary_bad",
             "sim/failures.py::GilbertElliottParams.marginal_loss_rate",
         ]),

@@ -1,7 +1,7 @@
 """Composition helpers: launch flows under the full Uno stack.
 
-``start_uno_flow`` wires UnoCC + (for inter-DC flows) UnoRC's erasure
-coding and UnoLB's subflow balancing, deriving every constant from a
+``start_uno_flow`` wires UnoCC, UnoLB's subflow balancing and (for
+inter-DC flows) UnoRC's erasure coding, deriving every constant from a
 :class:`repro.core.params.UnoParams`, so experiments and examples launch
 paper-faithful flows in one call.
 """

@@ -22,12 +22,14 @@ Three mechanisms keep the heap small on the packet hot path:
   half the heap the *cancel* that crossed the threshold rebuilds it in
   place, so pathological timer churn cannot degrade every subsequent
   heap operation — and the per-packet schedule path never re-checks.
-- **Event credits**: a component that batch-advances several logical
-  events inside one callback (a port settling its precomputed drain
-  schedule, in ``sim/queues.py`` and ``sim/link.py``) adds the absorbed
-  events to ``Simulator._n_executed`` inline, keeping
-  :attr:`Simulator.events_executed` equal to what one callback per
-  packet would have executed.
+- **Event credits**: a component that absorbs a logical event instead
+  of scheduling it (a batch-advanced port committing a packet's
+  serialization finish at enqueue, in ``sim/queues.py``) adds it to
+  ``Simulator._n_executed`` inline *at commit*, and subtracts the
+  credits of packets it later recalls. :attr:`Simulator.events_executed`
+  then equals what one callback per packet would have executed whenever
+  no committed event is still pending — at the end of every run to
+  quiescence; a run stopped mid-burst leads by the pending ones.
 """
 
 from __future__ import annotations

@@ -27,7 +27,9 @@ not-yet-on-the-wire packet's fate — ``fail()``, attaching a loss model,
 a direct :meth:`transmit` racing ahead of the schedule — first *recalls*
 the future entries to the port (:meth:`_recall` / ``Port._rollback``),
 which replays them through the per-packet serializer so failure and
-loss semantics stay event-for-event identical.
+loss semantics stay event-for-event identical. The link never settles
+the port's schedule: the port settles only at its own reads and credits
+each absorbed finish event at commit, so the drain just delivers.
 """
 
 from __future__ import annotations
@@ -95,9 +97,9 @@ class Link:
         self.on_state_change: Optional[Callable[["Link"], None]] = None
         self._loss_model: Optional[LossModel] = None
         # Back-reference to the feeding Port (wired by Port.__init__).
-        # The batch-advance handshake needs it: _drain settles the port's
-        # drain schedule, and fail()/loss-model changes recall scheduled
-        # packets. None for raw links driven without a port (unit tests).
+        # The batch-advance handshake needs it: fail(), loss-model
+        # changes and a racing transmit() recall scheduled packets. None
+        # for raw links driven without a port (unit tests).
         self._port = None
         self.delivered_pkts = 0
         self.lost_pkts = 0
@@ -185,11 +187,11 @@ class Link:
                 f"link {self.name}: transmit before connect() wired a sink"
             )
         port = self._port
-        if port is not None and port._sched:
+        if port is not None and port._busy_until > sim.now:
             # A direct transmission (PFC control frame, test harness)
-            # racing ahead of batch-scheduled packets would land on the
-            # wire out of FIFO order; recall the schedule first so this
-            # packet queues behind exactly what is already on the wire.
+            # racing ahead of batch-scheduled packets still serializing
+            # would land on the wire out of FIFO order; recall them first
+            # so this packet queues behind exactly what is on the wire.
             port._rollback()
         if not self.up:
             self.failed_drops += 1
@@ -258,48 +260,27 @@ class Link:
     def _drain(self) -> None:
         """Deliver every due in-flight packet, re-arm for the next head.
 
-        The armed flag is cleared before delivering so that a ``fail()``
-        triggered from inside ``dst.receive`` sees no armed event and
-        simply flushes the deque; the post-loop re-arm then finds it
-        empty and stays dark.
+        The drain is armed at the head's own key, so the head is due by
+        construction. The armed flag is cleared before delivering so that
+        a ``fail()`` triggered from inside ``dst.receive`` sees no armed
+        event and simply flushes the deque; the post-loop re-arm then
+        finds it empty and stays dark.
         """
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         q = self._inflight
         self._drain_armed = False
-        port = self._port
-        if port is not None:
-            sched = port._sched
-            if sched and sched[0][0] <= now:
-                # Settle the feeding port's drain schedule before
-                # delivering (loop inlined from Port._settle — once per
-                # packet in steady state): every serialization that
-                # logically completed by now must be reflected in
-                # tx_bytes / occupancy (and credited as an event) before
-                # downstream receive callbacks can observe the port.
-                bq = port.bytes_queued
-                n = 0
-                while sched and sched[0][0] <= now:
-                    bq -= sched.popleft()[1]
-                    n += 1
-                port.tx_bytes += port.bytes_queued - bq
-                port.bytes_queued = bq
-                sim._n_executed += n
-        sink = self._sink
-        delivered = 0
+        self.delivered_pkts += 1
+        self._sink.receive(q.popleft()[2])
         while q and q[0][0] <= now:
-            pkt = q.popleft()[2]
-            delivered += 1
-            sink.receive(pkt)
-        if delivered:
-            self.delivered_pkts += delivered
+            self.delivered_pkts += 1
+            self._sink.receive(q.popleft()[2])
         if q:
             t, s, _ = q[0]
             self._drain_armed = True
             handle = self._drain_handle
             handle.time = t
             handle.fired = False
-            heappush(sim._heap, (t, s, handle))
+            heappush(self.sim._heap, (t, s, handle))
 
     def _emit_failed_drop(self, pkt: Packet, now: int) -> None:
         ev = self._events

@@ -24,10 +24,14 @@ deque, so the engine never runs a per-packet finish callback. Which path
 a port takes is decided from that observable state alone
 (:meth:`Port._refresh_batch`); ports with PFC, INT, a loss model or a
 failed link serialize one ``_finish_tx`` event per packet.
-The pending finishes live in a drain *schedule* ``(finish_ps, size)``;
-occupancy/tx counters are settled lazily from it (every read goes through
-a settle), and each settled entry credits one engine event so
-``events_executed`` matches the per-packet serializer's. Any boundary
+The pending finishes live in a drain *schedule* ``(finish_ps, size)``.
+The port settles it only at its own reads — ``enqueue``,
+``occupancy_bytes()``, the ``bytes_queued`` / ``tx_bytes`` properties and
+a rollback — moving finished entries' bytes from queued to transmitted;
+no other component touches it. Each commit credits its engine event *at
+commit*, so ``events_executed`` equals the per-packet serializer's count
+whenever no committed serialization is pending (a rollback takes back the
+credits of the packets it recalls). Any boundary
 where a decision could change — PFC arming, INT enablement, link failure
 or loss-model attach, a control frame racing the schedule — *rolls back*:
 unfinished packets return to the FIFO and re-serialize per packet,
@@ -191,14 +195,14 @@ class Port:
         "_seed",
         "_rng",
         "_fifo",
-        "bytes_queued",
+        "_bytes_queued",
         "_busy",
         "drops",
         "enqueued_pkts",
         "marked_pkts",
         "red_marked_pkts",
         "phantom_marked_pkts",
-        "tx_bytes",
+        "_tx_bytes",
         "_events",
         "int_t_ref_ps",
         "_int_win_start",
@@ -252,14 +256,14 @@ class Port:
             self.phantom = PhantomQueue(phantom, link.gbps)
             self.phantom._port = self
         self._fifo: deque[Packet] = deque()
-        self.bytes_queued = 0
+        self._bytes_queued = 0
         self._busy = False
         self.drops = 0
         self.enqueued_pkts = 0
         self.marked_pkts = 0
         self.red_marked_pkts = 0      # marks decided by physical RED
         self.phantom_marked_pkts = 0  # marks decided by the phantom queue
-        self.tx_bytes = 0
+        self._tx_bytes = 0
         # Hot-path precomputation: link rate and RED thresholds are
         # immutable after construction, so the per-packet path reads
         # them from slots instead of recomputing frac * capacity.
@@ -272,8 +276,8 @@ class Port:
         self._tx_handle = None
         # Batch-advance state. _sched holds (finish_ps, size) for packets
         # already committed to the link but whose serialization has not
-        # been settled into tx_bytes/bytes_queued yet; _busy_until is the
-        # last committed finish. _batch caches eligibility (None = stale,
+        # been settled into _tx_bytes/_bytes_queued yet; _busy_until is
+        # the last committed finish. _batch caches eligibility (None = stale,
         # recompute on next enqueue). _ser_cache memoizes size -> ser_ps
         # (flows in flight use a handful of distinct sizes; the division
         # is measurable per packet); at most _SER_CACHE_MAX entries.
@@ -322,17 +326,13 @@ class Port:
                        lambda: self.phantom_marked_pkts)
 
         # The batch path settles lazily: settle before reading, so a
-        # snapshot between a burst's finishes and the next enqueue/drain
+        # snapshot between a burst's finishes and the next enqueue
         # reports what the per-packet serializer would.
-        def tx_bytes():
-            self.occupancy_bytes()
-            return self.tx_bytes
-
         def queued_pkts():
             self.occupancy_bytes()
             return len(self._fifo) + len(self._sched)
 
-        registry.gauge(f"{base}.tx_bytes", tx_bytes)
+        registry.gauge(f"{base}.tx_bytes", lambda: self.tx_bytes)
         registry.gauge(f"{base}.queued_pkts", queued_pkts)
         registry.gauge(f"{base}.queued_bytes", self.occupancy_bytes)
         registry.gauge(f"{base}.pause_frames_rx", lambda: self.pause_frames_rx)
@@ -351,25 +351,29 @@ class Port:
 
     def enqueue(self, pkt: Packet) -> bool:
         """Offer a packet; returns False if it was tail-dropped."""
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         ev = self._events
         size = pkt.size
         sched = self._sched
-        if sched and sched[0][0] <= now:
-            # Settle finished serializations first (loop inlined from
-            # _settle — once per packet in steady state): the drop/RED/
-            # phantom decisions below must see exactly the occupancy the
-            # per-packet serializer would (its _finish_tx events for
-            # those packets fired before this enqueue).
-            bq = self.bytes_queued
-            n = 0
-            while sched and sched[0][0] <= now:
-                bq -= sched.popleft()[1]
-                n += 1
-            self.tx_bytes += self.bytes_queued - bq
-            self.bytes_queued = bq
-            self.sim._n_executed += n
-        occupancy = self.bytes_queued
+        # Settle finished serializations first: the drop/RED/phantom
+        # decisions below must see exactly the occupancy the per-packet
+        # serializer would (its _finish_tx events for those packets fired
+        # before this enqueue). ``busy`` ends as the instant this port's
+        # serializer is next free.
+        busy = self._busy_until
+        if busy <= now:
+            # Every committed serialization has finished (most ports are
+            # idle when a packet arrives). A schedule exists only while
+            # the FIFO is empty, so all its queued bytes are sent.
+            busy = now
+            if sched:
+                sched.clear()
+                self._tx_bytes += self._bytes_queued
+                self._bytes_queued = 0
+        elif sched[0][0] <= now:  # busy: the schedule holds its finish
+            self._settle(now)
+        occupancy = self._bytes_queued
         if occupancy + size > self.capacity_bytes:
             self.drops += 1
             if ev is not None and ev.wants("queue"):
@@ -411,7 +415,7 @@ class Port:
         if ev is not None and ev.wants("queue"):
             ev.emit("queue", "enqueue", t=now, port=self.name,
                     flow=pkt.flow_id, seq=pkt.seq, size=size)
-        self.bytes_queued = occupancy + size
+        self._bytes_queued = occupancy + size
         batch = self._batch
         if batch is None:
             batch = self._refresh_batch()
@@ -422,41 +426,39 @@ class Port:
             # in-flight deque — no per-packet finish callback. The finish
             # arithmetic is the same inlined ser-time as the classic path
             # below, memoized per size (bit-identical by construction).
-            cache = self._ser_cache
             try:
-                ser = cache[size]
+                ser = self._ser_cache[size]
             except KeyError:
+                cache = self._ser_cache
                 if len(cache) >= _SER_CACHE_MAX:  # tail sizes of dead flows
                     cache.clear()
                 ser = round(size * 8000 / self._gbps)
                 if ser < 1:
                     ser = 1
                 cache[size] = ser
-            start = self._busy_until
-            if start < now:
-                start = now
-            self._busy_until = finish = start + ser
+            self._busy_until = finish = busy + ser
             sched.append((finish, size))
             # Commit straight into the link's in-flight deque (no call:
             # one per packet is measurable) and arm its drain if it is
             # dark. The delivery seq is reserved now, at commit time; the
             # deque stays FIFO because finishes are committed
             # monotonically and every mode switch recalls future entries.
-            link = self.link
-            sim = self.sim
+            # The _finish_tx event this commit absorbs is credited now.
+            sim._n_executed += 1
             seq = sim._seq = sim._seq + 1
-            q = link._inflight
-            q.append((finish + link.prop_ps, seq, pkt))
+            link = self.link
+            t = finish + link.prop_ps
+            link._inflight.append((t, seq, pkt))
             if not link._drain_armed:
+                # A dark link's deque was empty: this packet is the head.
                 link._drain_armed = True
-                t, s, _ = q[0]
                 handle = link._drain_handle
                 if handle is None:
-                    link._drain_handle = sim.at_seq(t, s, link._drain)
+                    link._drain_handle = sim.at_seq(t, seq, link._drain)
                 else:
                     handle.time = t
                     handle.fired = False
-                    heappush(sim._heap, (t, s, handle))
+                    heappush(sim._heap, (t, seq, handle))
             return True
         self._fifo.append(pkt)
         if not self._busy and not self._paused:
@@ -471,7 +473,6 @@ class Port:
             ser = round(size * 8000 / self._gbps)
             if ser < 1:
                 ser = 1
-            sim = self.sim
             handle = self._tx_handle
             if handle is None:
                 self._tx_handle = sim.after(ser, self._finish_tx)
@@ -484,7 +485,7 @@ class Port:
                 heappush(sim._heap, (t, seq, handle))
         pfc = self.pfc
         if (pfc is not None and not self._xoff
-                and self.bytes_queued >= self._xoff_bytes):
+                and self._bytes_queued >= self._xoff_bytes):
             self._xoff = True
             pfc.on_xoff(self)
         return True
@@ -504,20 +505,16 @@ class Port:
 
     def _settle(self, now: int) -> None:
         """Retire drain-schedule entries whose serialization completed by
-        ``now``: move their bytes from queued to transmitted and credit
-        one engine event each (the _finish_tx callbacks the batch-advance
-        absorbed). Called from every occupancy read and from the link's
-        delivery drain, so observers always see per-packet-exact state."""
+        ``now``: move their bytes from queued to transmitted. The port's
+        own reads are the only callers (``enqueue``, ``occupancy_bytes``
+        and the counters behind it, ``_rollback``), so every observer
+        sees per-packet-exact state; the events were credited at commit."""
         sched = self._sched
-        bq = self.bytes_queued
-        n = 0
+        bq = self._bytes_queued
         while sched and sched[0][0] <= now:
             bq -= sched.popleft()[1]
-            n += 1
-        if n:
-            self.tx_bytes += self.bytes_queued - bq
-            self.bytes_queued = bq
-            self.sim._n_executed += n
+        self._tx_bytes += self._bytes_queued - bq
+        self._bytes_queued = bq
 
     def _refresh_batch(self) -> bool:
         """(Re)compute batch-advance eligibility. True only when nothing
@@ -551,6 +548,8 @@ class Port:
             return
         head_finish = sched[0][0]
         pkts = self.link._recall(len(sched))
+        # The per-packet serializer executes these finishes from here on.
+        self.sim._n_executed -= len(pkts)
         fifo = self._fifo
         if fifo:
             raise RuntimeError(
@@ -576,14 +575,14 @@ class Port:
         fifo = self._fifo
         pkt = fifo.popleft()
         size = pkt.size
-        self.bytes_queued -= size
-        self.tx_bytes += size
+        self._bytes_queued -= size
+        self._tx_bytes += size
         if self.int_t_ref_ps is not None:
             self._stamp_int(pkt)
         self.link.receive(pkt)
         pfc = self.pfc
         if (pfc is not None and self._xoff
-                and self.bytes_queued <= self._xon_bytes):
+                and self._bytes_queued <= self._xon_bytes):
             self._xoff = False
             pfc.on_xon(self)
         if self._paused:
@@ -618,7 +617,7 @@ class Port:
             self._int_win_bytes = 0
         line_bytes_per_ps = gbps_to_bytes_per_ps(self.link.gbps)
         util = (
-            self.bytes_queued / (line_bytes_per_ps * t_ref)
+            self._bytes_queued / (line_bytes_per_ps * t_ref)
             + self._int_rate / line_bytes_per_ps
         )
         if util > pkt.int_util:
@@ -689,7 +688,7 @@ class Port:
             ev = self._events
             if ev is not None and ev.wants("pfc"):
                 ev.emit("pfc", "pause", t=now, port=self.name,
-                        queued_bytes=self.bytes_queued)
+                        queued_bytes=self._bytes_queued)
         if hold_ps > 0:
             if was_paused and self._pause_until is None:
                 return  # indefinitely paused; a quantum can't shorten it
@@ -733,7 +732,7 @@ class Port:
         ev = self._events
         if ev is not None and ev.wants("pfc"):
             ev.emit("pfc", "resume", t=now, t0=self._pause_started_ps,
-                    port=self.name, queued_bytes=self.bytes_queued)
+                    port=self.name, queued_bytes=self._bytes_queued)
         fifo = self._fifo
         if fifo and not self._busy:
             # Re-arm the one perpetual tx event for the held head packet
@@ -748,7 +747,7 @@ class Port:
         # while neighbors would otherwise keep transmitting into it.
         pfc = self.pfc
         if (pfc is not None and not self._xoff
-                and self.bytes_queued >= self._xoff_bytes):
+                and self._bytes_queued >= self._xoff_bytes):
             self._xoff = True
             pfc.on_xoff(self)
 
@@ -761,7 +760,15 @@ class Port:
     def occupancy_bytes(self) -> int:
         if self._sched:
             self._settle(self.sim.now)
-        return self.bytes_queued
+        return self._bytes_queued
+
+    # Settled reads: no caller can see a stale counter.
+    bytes_queued = property(occupancy_bytes)
+
+    @property
+    def tx_bytes(self) -> int:
+        self.occupancy_bytes()
+        return self._tx_bytes
 
     def phantom_occupancy(self) -> float:
         if self.phantom is None:

@@ -187,7 +187,10 @@ class Switch(FailureDomain):
             raise LookupError(
                 f"switch {self.name} has no route to host {pkt.dst}"
             ) from None
-        if not choices:
+        n = len(choices)
+        if n == 1:
+            port = choices[0]
+        elif not n:
             self.no_route_drops += 1
             obs = self.sim.obs
             if obs is not None:
@@ -198,9 +201,6 @@ class Switch(FailureDomain):
                             switch=self.name, dst=pkt.dst,
                             flow=pkt.flow_id, seq=pkt.seq)
             return
-        n = len(choices)
-        if n == 1:
-            port = choices[0]
         elif self.mode != "rps":
             # flow_hash(), inlined around the memo: its packed key is
             # the memo key (one int per packet, no tuple per hop).
@@ -228,14 +228,10 @@ class Switch(FailureDomain):
                 r = getrandbits(k)
             port = choices[r]
             self.sprayed_pkts += 1
-        qcn = self.qcn
         if (
-            qcn is not None
+            self.qcn is not None
             and pkt.kind == DATA
-            # occupancy_bytes(), not raw bytes_queued: a batch-advanced
-            # port settles finished serializations lazily, and the QCN
-            # decision must see the reference-exact occupancy.
-            and port.occupancy_bytes() > qcn.threshold_bytes
+            and port.occupancy_bytes() > self.qcn.threshold_bytes
         ):
             self._maybe_send_cnp(pkt)
         port.receive(pkt)

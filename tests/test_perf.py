@@ -128,10 +128,10 @@ class TestEngine:
         assert fired == [1, 1]
 
     def test_credit_events_counts_as_executed(self, per_packet_ports):
-        """A batch-drained port retires several serializations inside one
-        callback and credits each to ``events_executed`` (the inline bump
-        in sim/queues.py and sim/link.py): the count equals the
-        per-packet serializer's although fewer callbacks ran."""
+        """A batched port runs no ``_finish_tx`` callback; each commit in
+        ``Port.enqueue`` credits the event it absorbs to
+        ``events_executed`` inline. After a run to quiescence the count
+        equals the per-packet serializer's although fewer callbacks ran."""
         def run():
             sim = Simulator()
             link = Link(sim, 100.0, prop_ps=5 * US)
@@ -289,13 +289,13 @@ class _TraceSink:
         self.got.append((self.sim.now, pkt.seq, pkt.ecn, pkt.int_util))
 
 
-def _burst_trace(actions=(), npkts=40, gap_ps=49_991,
+def _burst_world(actions=(), npkts=40, gap_ps=49_991,
                  capacity=64_000, size=1500):
-    """Drive one port+link with a paced burst that outruns the 120 ns/pkt
-    serializer, so a queue builds mid-burst. ``actions`` fire mid-burst
-    against the live port/link — each one a decision boundary the batch
-    path must split or roll back at. Returns every observable: the
-    delivery trace, the port counters, and the executed-event count.
+    """Build one port+link and schedule a paced burst that outruns the
+    120 ns/pkt serializer, so a queue builds mid-burst. ``actions`` fire
+    mid-burst against the live port/link — each one a decision boundary
+    the batch path must split or roll back at. Returns the world's parts
+    by name; nothing has run yet.
 
     The inter-arrival gap is coprime to the 120,000 ps serialization
     time so no enqueue lands on the exact picosecond of a finish: at
@@ -313,9 +313,18 @@ def _burst_trace(actions=(), npkts=40, gap_ps=49_991,
         sim.at(1_000 + i * gap_ps, port.enqueue, _data(i, size))
     for t, fn in actions:
         sim.at(t, fn, state)
+    return state
+
+
+def _burst_trace(**kw):
+    """Run :func:`_burst_world` to quiescence and return every
+    observable: the delivery trace, the port counters, and the
+    executed-event count."""
+    state = _burst_world(**kw)
+    sim, port, link = state["sim"], state["port"], state["link"]
     sim.run()
     return (
-        sink.got,
+        state["sink"].got,
         dict(tx_bytes=port.tx_bytes, drops=port.drops,
              marked=port.marked_pkts, red=port.red_marked_pkts,
              enqueued=port.enqueued_pkts,
@@ -350,6 +359,12 @@ def _enable_int_mid_burst(state):
 
 def _fail_mid_burst(state):
     state["link"].fail()
+
+
+def _ctrl_frame_mid_burst(state):
+    # Handed straight to the link, as PFC control frames are, while
+    # committed packets are still serializing: it must queue behind them.
+    state["link"].transmit_ctrl(_data(999, 64))
 
 
 def _both_paths(per_packet_ports, **kw):
@@ -411,6 +426,20 @@ class TestBatchAdvance:
         stamps = [got[3] for got in batch[0]]
         assert stamps[0] == 0.0 and max(stamps) > 0.0
 
+    def test_direct_transmit_mid_burst(self, per_packet_ports):
+        actions = [(500_003, _ctrl_frame_mid_burst)]
+        batch, ref = _both_paths(per_packet_ports, actions=actions)
+        assert batch == ref
+        assert batch[1]["delivered"] == 41
+
+    def test_idle_arrivals_match_reference(self, per_packet_ports):
+        # Arrivals spaced wider than a serialization find the port idle
+        # with the previous commit still in its schedule: the one-step
+        # settle must retire it exactly as the per-packet finishes did.
+        batch, ref = _both_paths(per_packet_ports, gap_ps=250_007)
+        assert batch == ref
+        assert batch[1]["tx_bytes"] == 40 * 1500
+
     def test_link_fail_mid_burst(self, per_packet_ports):
         actions = [(500_003, _fail_mid_burst)]
         batch, ref = _both_paths(per_packet_ports, actions=actions)
@@ -431,10 +460,35 @@ class TestBatchAdvance:
         port = Port(sim, link, capacity_bytes=64_000)
         port.enqueue(_data(0))
         sim.run()
+        port.occupancy_bytes()  # the port settles only at its own reads
         assert port._batch is True and not port._sched
         leave(port)
         port.enqueue(_data(1))
         assert not port._sched and port._busy
+
+    def test_events_credit_at_commit(self, per_packet_ports):
+        # Credit at commit: stopped mid-burst, a batched port has already
+        # credited the serializations it committed but has not finished,
+        # so it leads the per-packet count by exactly those; at
+        # quiescence nothing is pending and the counts agree.
+        mid = 1_000 + 20 * 49_991 + 7  # between events, queue built up
+
+        def run():
+            state = _burst_world()
+            sim, port = state["sim"], state["port"]
+            sim.run(until=mid)
+            at_mid = sim.events_executed
+            port.occupancy_bytes()
+            pending = len(port._sched)
+            sim.run()
+            return at_mid, pending, sim.events_executed
+
+        batch_mid, pending, batch_end = run()
+        with per_packet_ports():
+            ref_mid, ref_pending, ref_end = run()
+        assert pending > 1 and ref_pending == 0
+        assert batch_mid - ref_mid == pending
+        assert batch_end == ref_end
 
     def test_mixed_traffic_matches_reference(self, per_packet_ports):
         batched = _mixed_traffic_summary(71)

@@ -296,14 +296,8 @@ class UnoRCReceiver(Receiver):
 
     def _send_block_complete(self, b: int) -> None:
         assert self._sender_src is not None, "receiver not attached"
-        ack = Packet(
-            ACK,
-            self.flow_id,
-            src=self.host.node_id,
-            dst=self._sender_src,
-            seq=BLOCK_COMPLETE_SEQ,
-            size=_ACK_SIZE,
-        )
+        ack = Packet(ACK, self.flow_id, self.host.node_id, self._sender_src,
+                     BLOCK_COMPLETE_SEQ, _ACK_SIZE)
         ack.block_id = b
         self.host.send(ack)
 

@@ -68,11 +68,10 @@ def run_cell(scheme: str, n_intra: int, n_inter: int, flow_bytes: int,
     # the bottleneck and the index is trivially high).
     first_finish = min(s.stats.finish_ps for s in senders)
     active = [i for i, t in enumerate(monitor.times) if t <= first_finish]
-    if active and all(len(r) > active[-1] for r in monitor.rates_gbps):
+    rates = monitor.rates_gbps  # builds every column: read it once
+    if active and all(len(r) > active[-1] for r in rates):
         mid = active[len(active) // 2]
-        jain_mid = jain_index(
-            [monitor.rates_gbps[f][mid] for f in range(len(senders))]
-        )
+        jain_mid = jain_index([r[mid] for r in rates])
     else:
         jain_mid = float("nan")
     return {

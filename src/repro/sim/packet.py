@@ -5,6 +5,13 @@ One slotted class for all packet kinds keeps the hot path monomorphic.
 and carry the data packet's send timestamp so senders can measure RTT
 without per-sequence state. NACKs identify an unrecoverable erasure-coding
 block (UnoRC, paper section 4.2).
+
+Convention: every site that builds a packet per packet sent (a sender's
+data packet, the receiver's ACK, UnoRC's block-complete ACK, NACKs, CNPs
+and the wire decoder) passes :class:`Packet`'s arguments positionally.
+On CPython 3.11 a class call runs ``__init__`` in a fresh interpreter
+loop, and passing keywords roughly doubles the cost of that call. Tests
+and cold paths may still pass keywords.
 """
 
 from __future__ import annotations
@@ -90,17 +97,10 @@ class Packet:
 
 def make_ack(data_pkt: Packet, now_ps: int) -> Packet:
     """Build the ACK for ``data_pkt`` (sent from its receiver back to src)."""
-    ack = Packet(
-        ACK,
-        data_pkt.flow_id,
-        src=data_pkt.dst,
-        dst=data_pkt.src,
-        seq=data_pkt.seq,
-        size=ACK_SIZE,
-        sport=data_pkt.dport,
-        dport=data_pkt.sport,
-        payload=data_pkt.payload,
-    )
+    # Positional: kind, flow_id, src, dst, seq, size, sport, dport, payload.
+    ack = Packet(ACK, data_pkt.flow_id, data_pkt.dst, data_pkt.src,
+                 data_pkt.seq, ACK_SIZE, data_pkt.dport, data_pkt.sport,
+                 data_pkt.payload)
     ack.echo_sent_ps = data_pkt.sent_ps
     ack.ecn_echo = data_pkt.ecn
     ack.int_util = data_pkt.int_util  # echo the INT telemetry
@@ -113,13 +113,13 @@ def make_ack(data_pkt: Packet, now_ps: int) -> Packet:
 def make_cnp(flow_id: int, switch_src: int, dst: int) -> Packet:
     """Build a QCN-style congestion notification from a switch back to the
     sender ``dst`` (Annulus extension; see repro.core.annulus)."""
-    return Packet(CNP, flow_id, src=switch_src, dst=dst, seq=-1, size=ACK_SIZE)
+    return Packet(CNP, flow_id, switch_src, dst, -1, ACK_SIZE)
 
 
 def make_nack(flow_id: int, src: int, dst: int, block_id: int) -> Packet:
     """Build a NACK from the receiver (``src``) to the sender (``dst``)
     reporting that ``block_id`` cannot be recovered (UnoRC)."""
-    nack = Packet(NACK, flow_id, src=src, dst=dst, seq=-1, size=ACK_SIZE)
+    nack = Packet(NACK, flow_id, src, dst, -1, ACK_SIZE)
     nack.nack_block = block_id
     return nack
 

@@ -161,6 +161,14 @@ class PathSelector:
     """Chooses the entropy (source port) for outgoing packets and reacts
     to delivery feedback. The default keeps one ECMP path per flow."""
 
+    # Whether the class replaces the no-op on_ack: a sender calls the
+    # hook per ACK only then (as with Sender's own per-packet hooks).
+    overrides_on_ack = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.overrides_on_ack = cls.on_ack is not PathSelector.on_ack
+
     def on_init(self, sender: "Sender") -> None: ...
 
     def entropy(self, sender: "Sender", pkt: Packet) -> int:
@@ -326,6 +334,17 @@ class Sender:
         "_done", "_active", "_obs", "_events", "_spans", "_counters",
         "receiver", "start_handle",
     )
+
+    # Whether a subclass replaces the no-op per-packet hooks _decorate and
+    # _after_ack. The per-packet path calls a hook only if it does: a
+    # no-op costs a frame per packet, an override is always called.
+    _overrides_decorate = False
+    _overrides_after_ack = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._overrides_decorate = cls._decorate is not Sender._decorate
+        cls._overrides_after_ack = cls._after_ack is not Sender._after_ack
 
     def __init__(
         self,
@@ -602,9 +621,6 @@ class Sender:
             return rem if rem > 0 else self.mss
         return self.mss
 
-    def _window_allows(self, nbytes: int) -> bool:
-        return self.inflight_bytes + nbytes <= self.cwnd
-
     def _pace_wakeup(self) -> None:
         self._pace_handle = None
         self._maybe_send()
@@ -612,98 +628,101 @@ class Sender:
     def _maybe_send(self) -> None:
         """Send as much as window + pacing allow; self-reschedules.
 
-        Retransmissions obey the window like any other send: their lost
-        copies were retired from ``inflight_bytes`` when declared lost.
-        At most one pacing wakeup is ever outstanding (tracked by
-        ``_pace_handle``) — re-scheduling one per ACK would accumulate
-        wakeups without bound under steady ACK clocking.
+        The next sequence is the head of the retransmission queue, else
+        the next fresh data sequence, else the head of the parity queue
+        (UnoRC). A head that is already acked is skipped whatever the
+        window says. Retransmissions obey the window like any other
+        send: their lost copies were retired from ``inflight_bytes``
+        when declared lost. At most one pacing wakeup is ever
+        outstanding (tracked by ``_pace_handle``) — re-scheduling one per
+        ACK would accumulate wakeups without bound under steady ACK
+        clocking. Each iteration decides once: the payload it computes
+        is the one ``_emit`` sends, and the window test is inline.
         """
+        total = self.total_data_pkts
         while True:
-            seq = self._peek_next()
-            if seq is None:
-                return
-            if seq in self.acked_seqs:
-                # Retired while queued (e.g. by a UnoRC block-complete
-                # ACK before this packet was ever sent): never emit it.
-                self._pop_next()
-                continue
-            payload = self.payload_of(seq)
-            if not self._window_allows(payload):
+            retx = self._retx_queue
+            if retx:
+                seq = retx[0]
+                if seq in self.acked_seqs:  # acked while queued
+                    self._retx_set.discard(retx.popleft())
+                    continue
+                payload = self.payload_of(seq)
+            elif self._next_seq < total:
+                seq = self._next_seq
+                acked = self.acked_seqs
+                if seq < acked.floor or seq in acked.above:
+                    # Acked before its first turn: a UnoRC NACK sent it
+                    # early from the retransmission queue. (The test is
+                    # ``seq in acked`` for a data sequence, without the
+                    # interpreter re-entry of WatermarkSet.__contains__.)
+                    self._next_seq = seq + 1
+                    continue
+                payload = self.mss if seq + 1 < total else self.payload_of(seq)
+            else:
+                seq = self._peek_parity()
+                if seq is None:
+                    return
+                if seq in self.acked_seqs:
+                    # Retired while queued (a UnoRC block-complete ACK
+                    # before this parity packet was sent): never emit it.
+                    self._pop_parity()
+                    continue
+                payload = self.payload_of(seq)
+            if self.inflight_bytes + payload > self.cwnd:
                 return  # an ACK will retrigger us
-            now = self.sim.now
-            if self.pacing_rate_gbps and self._next_pace_ps > now:
+            if self.pacing_rate_gbps and self._next_pace_ps > self.sim.now:
                 if self._pace_handle is None:
                     self._pace_handle = self.sim.at(
                         self._next_pace_ps, self._pace_wakeup
                     )
                 return
-            self._emit(self._pop_next())
-
-    def _peek_next(self) -> Optional[int]:
-        # Purge retransmission entries that were acked while queued.
-        while self._retx_queue and self._retx_queue[0] in self.acked_seqs:
-            self._retx_set.discard(self._retx_queue.popleft())
-        if self._retx_queue:
-            return self._retx_queue[0]
-        if self._next_seq < self.total_data_pkts:
-            return self._next_seq
-        return self._peek_parity()
+            if retx:
+                self._retx_set.discard(retx.popleft())
+            elif seq < total:
+                self._next_seq = seq + 1
+            else:
+                self._pop_parity()
+            self._emit(seq, payload)
 
     def _peek_parity(self) -> Optional[int]:
         """Overridden by the UnoRC sender."""
         return None
 
-    def _pop_next(self) -> int:
-        if self._retx_queue:
-            seq = self._retx_queue.popleft()
-            self._retx_set.discard(seq)
-            return seq
-        if self._next_seq < self.total_data_pkts:
-            seq = self._next_seq
-            self._next_seq += 1
-            return seq
-        return self._pop_parity()
-
     def _pop_parity(self) -> int:  # pragma: no cover - only via UnoRC
         raise RuntimeError("no parity scheduled")
 
-    def _emit(self, seq: int) -> None:
+    def _emit(self, seq: int, payload: int) -> None:
         now = self.sim.now
-        payload = self.payload_of(seq)
-        pkt = Packet(
-            DATA,
-            self.flow_id,
-            src=self.src.node_id,
-            dst=self.dst.node_id,
-            seq=seq,
-            size=payload + HEADER_BYTES,
-            payload=payload,
-        )
-        is_retx = seq in self.outstanding
-        if is_retx:
-            pkt.retx = self.outstanding[seq].retx + 1
+        flow_id = self.flow_id
+        pkt = Packet(DATA, flow_id, self.src.node_id, self.dst.node_id, seq,
+                     payload + HEADER_BYTES, 0, flow_id & 0xFFFF, payload)
+        prev = self.outstanding.get(seq)
+        if prev is not None:
+            pkt.retx = prev.retx + 1
             self.stats.retransmissions += 1
             if self._counters is not None:
                 self._counters["retransmissions"].inc()
             if self._spans is not None:
-                self._spans.retransmit(self.flow_id, now, seq)
+                self._spans.retransmit(flow_id, now, seq)
         pkt.sent_ps = now
-        self._decorate(pkt)
+        if self._overrides_decorate:
+            self._decorate(pkt)
         pkt.sport = self.path.entropy(self, pkt)
-        pkt.dport = self.flow_id & 0xFFFF
-        if not is_retx:
+        if prev is None:
             self.inflight_bytes += payload
         elif seq in self._lost_seqs:
             # The retransmitted copy is on the wire again.
             self._lost_seqs.discard(seq)
             self.inflight_bytes += payload
         self.outstanding[seq] = pkt
-        if self.stats.first_send_ps is None:
-            self.stats.first_send_ps = now
+        stats = self.stats
+        if stats.first_send_ps is None:
+            stats.first_send_ps = now
         if seq >= self.total_data_pkts:
-            self.stats.parity_pkts_sent += 1
+            stats.parity_pkts_sent += 1
         else:
-            self.stats.data_pkts_sent += 1
+            stats.data_pkts_sent += 1
         if self.pacing_rate_gbps:
             gap = ser_time_ps(pkt.size, self.pacing_rate_gbps)
             self._next_pace_ps = max(self._next_pace_ps, now) + gap
@@ -741,7 +760,11 @@ class Sender:
             if not self._check_done():
                 self._maybe_send()
             return
-        if seq in self.acked_seqs or seq not in self.outstanding:
+        # An acked sequence is never outstanding (_emit never sends one,
+        # UnoRCSender._complete_block pops before it acks), so the pop
+        # alone tells a new ACK from a duplicate or stale one.
+        sent = self.outstanding.pop(seq, None)
+        if sent is None:
             self.stats.dup_acks += 1
             if self._counters is not None:
                 self._counters["dup_acks"].inc()
@@ -750,7 +773,6 @@ class Sender:
                 ev.emit("ack", "dup", t=self.sim.now,
                         flow=self.flow_id, seq=seq)
             return  # duplicate or stale
-        sent = self.outstanding.pop(seq)
         self.acked_seqs.add(seq)
         self._rto_backoff = 1  # ACK progress ends the backoff episode
         self._consecutive_timeouts = 0
@@ -774,15 +796,19 @@ class Sender:
                     seq=seq, rtt=rtt, ecn=pkt.ecn_echo)
         cwnd_before = self.cwnd
         self.cc.on_ack(self, pkt, rtt, pkt.ecn_echo)
-        self.cwnd = max(self.cwnd, float(self.mss))
+        if self.cwnd < self.mss:
+            self.cwnd = float(self.mss)
         if ev is not None and self.cwnd != cwnd_before and ev.wants("cwnd"):
             ev.emit("cwnd", "update", t=self.sim.now, flow=self.flow_id,
                     old=cwnd_before, new=self.cwnd, cause="ack")
         if self._spans is not None and self.cwnd != cwnd_before:
             self._spans.cwnd(self.flow_id, self.sim.now,
                              cwnd_before, self.cwnd)
-        self.path.on_ack(self, pkt, rtt, pkt.ecn_echo)
-        self._after_ack(pkt)
+        path = self.path
+        if path.overrides_on_ack:
+            path.on_ack(self, pkt, rtt, pkt.ecn_echo)
+        if self._overrides_after_ack:
+            self._after_ack(pkt)
         if self._check_done():
             return
         self._maybe_send()
@@ -882,7 +908,7 @@ class Sender:
         return self.acked_seqs.floor >= self.total_data_pkts
 
     def _check_done(self) -> bool:
-        if self.terminal or not self._all_delivered():
+        if self._done or self._aborted or not self._all_delivered():
             return False
         self._done = True
         self.stats.finish_ps = self.sim.now

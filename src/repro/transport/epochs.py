@@ -71,11 +71,7 @@ class EpochTracker:
             self._max_rel_delay = rel_delay_ps
         if pkt_sent_ps < self.t_epoch:
             return None
-        summary = EpochSummary(
-            total_acks=self._total,
-            marked_acks=self._marked,
-            max_rel_delay_ps=self._max_rel_delay,
-        )
+        summary = EpochSummary(self._total, self._marked, self._max_rel_delay)
         self._total = 0
         self._marked = 0
         self._max_rel_delay = 0

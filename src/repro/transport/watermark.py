@@ -35,7 +35,11 @@ class WatermarkSet:
     stream that arrives in order (and every set at rest) holds two ints.
 
     Supports what callers use on the builtin set: ``in``, ``add``,
-    ``len`` and truthiness.
+    ``len`` and truthiness. The sender's per-packet loop
+    (``Sender._maybe_send``) tests a value ``x`` below ``split`` as
+    ``x < floor or x in above``: for such a value that is ``x in self``,
+    without the interpreter re-entry ``__contains__`` costs on a Python
+    class.
     """
 
     __slots__ = ("floor", "split", "hi_floor", "above")

@@ -110,8 +110,7 @@ def unpack_packet(data: bytes) -> Tuple[Packet, bytes]:
             f"frame length {len(data)} != expected {expected} "
             f"(kind={kind}, payload={payload})"
         )
-    pkt = Packet(kind, flow_id, src=src, dst=dst, seq=seq, size=size,
-                 sport=sport, dport=dport, payload=payload)
+    pkt = Packet(kind, flow_id, src, dst, seq, size, sport, dport, payload)
     pkt.ecn = bool(flags & _F_ECN)
     pkt.ecn_echo = bool(flags & _F_ECN_ECHO)
     pkt.hops = hops

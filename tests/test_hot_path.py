@@ -7,6 +7,12 @@
   measurably heavier fails here before any timing would notice. Bytecode
   differs between interpreter versions, so the count is taken only on
   CPython 3.11, which CI runs.
+- **Calls per data packet.** The transport's per-ACK cycle costs little
+  in bytecodes and much in frames: on CPython 3.11 a class call, an
+  ``in`` on a Python class and a property read each start a fresh
+  interpreter loop from C. ``sys.setprofile`` sees those frames too, so
+  the count of Python calls per data packet sent pins the cycle where
+  the bytecode budget cannot.
 - **Same simulation.** The digest of every packet workload of the frozen
   benchmark at its smoke size, seed 1: a performance change must leave
   each one equal.
@@ -28,8 +34,21 @@ from repro.sim.units import KIB
 from repro.workloads.patterns import permutation_specs
 
 # Bytecodes per link delivery in _fixed_world(), CPython 3.11: 574.1 before
-# the port settled only at its own reads, 497.2 after. Budget: +2 %.
-BYTECODES_PER_DELIVERY_BUDGET = 507.0
+# the port settled only at its own reads, 497.2 after, 489.2 once the ACK
+# clock stopped re-entering the interpreter. Budget: +2 %.
+BYTECODES_PER_DELIVERY_BUDGET = 499.0
+
+# The DCTCP dumbbell world (benchmarks.unobench's dumbbell_dctcp at its
+# smoke size, seed 1), CPython 3.11, counted inside job.run(): 476.3
+# bytecodes per link delivery and 53.3 Python calls per data packet sent
+# before the ACK clock stopped re-entering the interpreter, 449.7 and 38.4
+# after. Budgets: +2 %.
+DUMBBELL_BYTECODES_PER_DELIVERY_BUDGET = 458.7
+DUMBBELL_CALLS_PER_DATA_PKT_BUDGET = 39.1
+
+CPYTHON_311 = pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="bytecode and call counts are pinned on CPython 3.11")
 
 # Full sha256 digests of benchmarks.unobench's packet workloads at
 # PREPARE[w](1, True): the simulation every hot-path change must keep.
@@ -81,24 +100,73 @@ def _count_bytecodes(fn):
     return per_code
 
 
-@pytest.mark.skipif(
-    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
-    reason="bytecode counts are pinned on CPython 3.11")
+def _count_calls(fn):
+    """Run ``fn`` and return the Python frames entered per code object,
+    including those entered from C (``__init__``, ``__contains__``,
+    property getters)."""
+    per_code = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            per_code[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return per_code
+
+
+def _check_budget(per_code, denominator, unit, budget):
+    per_unit = sum(per_code.values()) / denominator
+    split = Counter()
+    for code, n in per_code.items():
+        split[code.co_qualname] += n
+    table = "\n".join(f"  {name:40s} {n / denominator:7.2f}"
+                      for name, n in split.most_common(15))
+    assert per_unit <= budget, (
+        f"{per_unit:.2f} {unit} (denominator {denominator}), budget "
+        f"{budget}; per function:\n{table}")
+
+
+@CPYTHON_311
 def test_bytecodes_per_delivery_budget():
     sim, net, senders = _fixed_world()
     per_code = _count_bytecodes(sim.run)
     assert all(s.stats.done for s in senders)
     delivered = sum(link.delivered_pkts for link in net.links)
-    per_delivery = sum(per_code.values()) / delivered
-    split = Counter()
-    for code, n in per_code.items():
-        split[code.co_qualname] += n
-    table = "\n".join(f"  {name:40s} {n / delivered:7.1f}"
-                      for name, n in split.most_common(15))
-    assert per_delivery <= BYTECODES_PER_DELIVERY_BUDGET, (
-        f"{per_delivery:.1f} bytecodes per delivery over {delivered} "
-        f"deliveries, budget {BYTECODES_PER_DELIVERY_BUDGET}; per "
-        f"function:\n{table}")
+    _check_budget(per_code, delivered, "bytecodes per delivery",
+                  BYTECODES_PER_DELIVERY_BUDGET)
+
+
+def _dumbbell_job():
+    from benchmarks.unobench.workloads import PREPARE
+
+    return PREPARE["dumbbell_dctcp"](1, True)
+
+
+@CPYTHON_311
+def test_dumbbell_bytecodes_per_delivery_budget():
+    job = _dumbbell_job()
+    per_code = _count_bytecodes(job.run)
+    outcome = job.collect()
+    assert outcome.failed == 0, outcome.failures
+    _check_budget(per_code, outcome.counts["port_link.delivered_pkts"],
+                  "bytecodes per delivery",
+                  DUMBBELL_BYTECODES_PER_DELIVERY_BUDGET)
+
+
+@CPYTHON_311
+def test_dumbbell_calls_per_data_packet_budget():
+    job = _dumbbell_job()
+    per_code = _count_calls(job.run)
+    outcome = job.collect()
+    assert outcome.failed == 0, outcome.failures
+    _check_budget(per_code, outcome.counts["transport.data_pkts_sent"],
+                  "calls per data packet",
+                  DUMBBELL_CALLS_PER_DATA_PKT_BUDGET)
 
 
 def test_smoke_digests_unchanged():

@@ -133,6 +133,8 @@ RENTS: Dict[str, Tuple[str, List[str]]] = {
             "sim/host.py::Endpoint.*",
             "transport/base.py::CongestionControl.*",
             "transport/base.py::PathSelector.*",
+            "transport/base.py::Sender._decorate",
+            "transport/base.py::Sender._after_ack",
             "transport/base.py::Sender._on_control_ack",
             "transport/base.py::Sender._on_nack",
             "transport/base.py::Sender._pop_parity",

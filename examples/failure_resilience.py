@@ -15,31 +15,20 @@ links mid-flight, and compares three configurations:
 Run:  python examples/failure_resilience.py
 """
 
-from repro.core import UnoParams
 from repro.core.uno import start_uno_flow
+from repro.experiments.harness import ExperimentScale, build_multidc
 from repro.sim import Simulator
 from repro.sim.failures import schedule_bidirectional_failure
 from repro.sim.units import MIB, MS, SEC, fmt_time
-from repro.topology import MultiDC, MultiDCConfig
+from repro.transport.base import FixedEntropy
 
 
 def run_variant(use_lb: bool, use_ec: bool, seed: int = 7):
     sim = Simulator()
-    params = UnoParams(link_gbps=25.0, queue_bytes=256 * 1024)
-    topo = MultiDC(
-        sim,
-        MultiDCConfig(
-            k=4,
-            gbps=params.link_gbps,
-            n_border_links=8,
-            intra_rtt_ps=params.intra_rtt_ps,
-            inter_rtt_ps=params.inter_rtt_ps,
-            queue_bytes=params.queue_bytes,
-            red=params.red(),
-            phantom=params.phantom(),
-            seed=seed,
-        ),
-    )
+    # Quick scale: two k=4 fat-trees at 25 Gbps joined by 8 WAN links.
+    scale = ExperimentScale.quick()
+    params = scale.params()
+    topo = build_multidc(sim, "uno", params, scale, seed=seed)
     # A 30 ms fiber flap on one of the eight WAN links.
     ab, ba = topo.border_links[0]
     schedule_bidirectional_failure(sim, ab, ba, fail_at_ps=1 * MS,
@@ -49,7 +38,8 @@ def run_variant(use_lb: bool, use_ec: bool, seed: int = 7):
     senders = [
         start_uno_flow(
             sim, topo.net, topo.host(0, i), topo.host(1, i), 5 * MIB, params,
-            use_rc=use_ec, use_lb=use_lb, seed=seed * 100 + i,
+            use_rc=use_ec, path=None if use_lb else FixedEntropy(),
+            seed=seed * 100 + i,
             on_complete=done.append,
         )
         for i in range(8)

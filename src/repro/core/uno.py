@@ -3,7 +3,10 @@
 ``start_uno_flow`` wires UnoCC, UnoLB's subflow balancing and (for
 inter-DC flows) UnoRC's erasure coding, deriving every constant from a
 :class:`repro.core.params.UnoParams`, so experiments and examples launch
-paper-faithful flows in one call.
+paper-faithful flows in one call. ``unocc_config`` is the one place a
+``UnoParams`` becomes a :class:`~repro.core.unocc.UnoCCConfig`; an
+experiment that varies UnoCC ``replace``s fields of it and hands the
+controller to ``start_uno_flow(cc=...)``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.sim.network import Network
 from repro.transport.base import (
     DEFAULT_RECEIVER_IDLE_TIMEOUT_PS,
     AbortPolicy,
-    FixedEntropy,
+    CongestionControl,
     PathSelector,
     Receiver,
     Sender,
@@ -35,7 +38,8 @@ from repro.transport.base import (
 # launches thousands of flows under one ``UnoParams``.
 
 @lru_cache(maxsize=16)
-def _cc_config(params: UnoParams) -> UnoCCConfig:
+def unocc_config(params: UnoParams) -> UnoCCConfig:
+    """The paper's Table 2 UnoCC config for ``params``."""
     return UnoCCConfig(
         alpha_frac_of_bdp=params.alpha_frac_of_bdp,
         beta=params.qa_beta,
@@ -52,9 +56,9 @@ def _rc_config(params: UnoParams) -> UnoRCConfig:
         block=BlockConfig(params.ec_data_pkts, params.ec_parity_pkts))
 
 
-def make_unocc(params: UnoParams, is_inter_dc: bool) -> UnoCC:
+def make_unocc(params: UnoParams) -> UnoCC:
     """A fresh UnoCC instance configured per the paper's Table 2."""
-    return UnoCC(_cc_config(params))
+    return UnoCC(unocc_config(params))
 
 
 def start_uno_flow(
@@ -67,7 +71,7 @@ def start_uno_flow(
     *,
     start_ps: Optional[int] = None,
     use_rc: bool = True,
-    use_lb: bool = True,
+    cc: Optional[CongestionControl] = None,
     on_complete: Optional[Callable[[Sender], None]] = None,
     seed: int = 0,
     base_rtt_ps: Optional[int] = None,
@@ -77,21 +81,20 @@ def start_uno_flow(
 ) -> Sender:
     """Launch one flow under Uno.
 
-    Inter-DC flows (src/dst in different DCs) get UnoRC erasure coding and
-    UnoLB subflows; intra-DC flows run plain UnoCC (the paper applies EC
-    to inter-DC traffic only, section 4.2). ``use_rc`` / ``use_lb`` let
-    ablation experiments (Fig 9, Fig 13) turn pieces off; ``path``
-    overrides the path selector entirely (e.g. to compare against PLB).
+    Every flow runs UnoCC over UnoLB subflows; inter-DC flows (src/dst in
+    different DCs) also get UnoRC erasure coding (the paper applies EC to
+    inter-DC traffic only, section 4.2). ``use_rc=False`` turns EC off;
+    ``path`` replaces UnoLB (``FixedEntropy()`` for one ECMP path, or PLB);
+    ``cc`` replaces the Table 2 UnoCC with the caller's controller (an
+    ablated or warm-started UnoCC, or Annulus).
     """
     is_inter = src.dc != dst.dc
     rtt = base_rtt_ps if base_rtt_ps is not None else params.base_rtt_for(is_inter)
-    cc = make_unocc(params, is_inter)
+    if cc is None:
+        cc = make_unocc(params)
     rc = _rc_config(params)
     if path is None:
-        if use_lb:
-            path = UnoLB(n_subflows=rc.block.block_pkts)
-        else:
-            path = FixedEntropy()
+        path = UnoLB(n_subflows=rc.block.block_pkts)
     common = dict(
         mss=params.mtu_bytes,
         base_rtt_ps=rtt,

@@ -22,54 +22,31 @@ from typing import Dict, List, Optional
 
 from repro.analysis.fairness import convergence_time_ps, jain_series
 from repro.analysis.fct import summarize_fcts
-from repro.coding.block import BlockConfig
 from repro.core.params import UnoParams
-from repro.core.unocc import UnoCC, UnoCCConfig
-from repro.core.unolb import UnoLB
-from repro.core.unorc import UnoRCConfig, UnoRCReceiver, UnoRCSender
+from repro.core.uno import start_uno_flow, unocc_config
+from repro.core.unocc import UnoCC
 from repro.experiments.api import ExperimentPoint
-from repro.experiments.harness import ExperimentScale, scale_for
+from repro.experiments.harness import ExperimentScale, build_multidc, scale_for
 from repro.experiments.report import print_experiment
 from repro.sim.engine import Simulator
 from repro.sim.failures import GilbertElliottLoss, calibrate_gilbert_elliott
 from repro.sim.trace import RateMonitor
 from repro.sim.units import GIB, MIB, MS
-from repro.topology.multidc import MultiDC, MultiDCConfig
-from repro.transport.base import start_flow
+from repro.transport.base import FixedEntropy
 from repro.workloads.patterns import incast_specs
 
 DEFAULT_SEED = 12
 EC_PARITIES = (0, 1, 2, 4)
 
 
-def _make_topo(scale: ExperimentScale, params: UnoParams, seed: int) -> MultiDC:
-    sim = Simulator()
-    topo = MultiDC(
-        sim,
-        MultiDCConfig(
-            k=scale.k,
-            gbps=params.link_gbps,
-            n_border_links=scale.n_border_links,
-            intra_rtt_ps=params.intra_rtt_ps,
-            inter_rtt_ps=params.inter_rtt_ps,
-            queue_bytes=params.queue_bytes,
-            red=params.red(),
-            phantom=params.phantom(),
-            seed=seed,
-        ),
-    )
-    return topo
-
-
 def _unocc(params: UnoParams, is_inter: bool, *, unified: bool = True,
            use_qa: bool = True, gentle: bool = True,
            warm_start: bool = False) -> UnoCC:
-    epoch = params.intra_rtt_ps if unified else params.base_rtt_for(is_inter)
-    return UnoCC(UnoCCConfig(
-        alpha_frac_of_bdp=params.alpha_frac_of_bdp,
+    return UnoCC(dataclasses.replace(
+        unocc_config(params),
         beta=params.qa_beta if use_qa else 1e-9,  # beta ~ 0 disables QA
-        k_bytes=params.k_bytes,
-        epoch_period_ps=epoch,
+        epoch_period_ps=(params.intra_rtt_ps if unified
+                         else params.base_rtt_for(is_inter)),
         md_gentle_scale=0.3 if gentle else 1.0,
         use_slow_start=not warm_start,
         init_cwnd_frac_of_bdp=1.0 if warm_start else 0.0,
@@ -77,27 +54,15 @@ def _unocc(params: UnoParams, is_inter: bool, *, unified: bool = True,
 
 
 def _start(sim, topo, params, spec, cc, seed, on_complete=None, ec=True):
-    is_inter = spec.src.dc != spec.dst.dc
-    common = dict(
-        mss=params.mtu_bytes,
-        base_rtt_ps=params.base_rtt_for(is_inter),
-        line_gbps=params.link_gbps,
-        is_inter_dc=is_inter,
-        seed=seed,
+    """Launch ``spec`` under ``cc``: inter-DC flows with ``ec`` get the
+    full UnoRC + UnoLB stack, every other flow one ECMP path."""
+    full = ec and spec.src.dc != spec.dst.dc
+    return start_uno_flow(
+        sim, topo.net, spec.src, spec.dst, spec.size_bytes, params,
+        start_ps=spec.start_ps, use_rc=ec, cc=cc,
+        path=None if full else FixedEntropy(), seed=seed,
         on_complete=on_complete,
-        start_ps=spec.start_ps,
     )
-    if is_inter and ec:
-        rc = UnoRCConfig(block=BlockConfig(params.ec_data_pkts,
-                                           params.ec_parity_pkts))
-        return start_flow(
-            sim, topo.net, cc, spec.src, spec.dst, spec.size_bytes,
-            sender_cls=UnoRCSender, receiver_cls=UnoRCReceiver,
-            receiver_kwargs={"rc": rc}, rc=rc,
-            path=UnoLB(n_subflows=rc.block.block_pkts), **common,
-        )
-    return start_flow(sim, topo.net, cc, spec.src, spec.dst,
-                      spec.size_bytes, **common)
 
 
 # ----------------------------------------------------------------------
@@ -106,7 +71,7 @@ def ablate_unified_granularity(scale: ExperimentScale, seed: int,
                                window_ps: int, unified: bool) -> Dict:
     """Mixed incast fairness with unified or per-own-RTT epochs."""
     params = scale.params()
-    topo = _make_topo(scale, params, seed)
+    topo = build_multidc(Simulator(), "uno", params, scale, seed=seed)
     sim = topo.sim
     specs = incast_specs(topo, 4, 4, 64 * GIB)
     senders = []
@@ -148,7 +113,7 @@ def ablate_quick_adapt(scale: ExperimentScale, seed: int,
     from repro.sim.units import US
 
     params = scale.params()
-    topo = _make_topo(scale, params, seed)
+    topo = build_multidc(Simulator(), "uno", params, scale, seed=seed)
     sim = topo.sim
     specs = incast_specs(topo, 4, 4, 8 * MIB)
     dst = specs[0].dst
@@ -181,7 +146,7 @@ def ablate_gentle_md(scale: ExperimentScale, seed: int,
     """One long inter-DC flow alone: marking comes from phantom queues
     only, so the gentle MD_scale should preserve throughput."""
     params = scale.params()
-    topo = _make_topo(scale, params, seed)
+    topo = build_multidc(Simulator(), "uno", params, scale, seed=seed)
     sim = topo.sim
     from repro.workloads.generator import FlowSpec
 
@@ -200,7 +165,7 @@ def ablate_ec_redundancy(scale: ExperimentScale, seed: int,
     overhead."""
     ge = calibrate_gilbert_elliott(5e-3, mean_burst_packets=1.5)
     params = dataclasses.replace(scale.params(), ec_parity_pkts=parity)
-    topo = _make_topo(scale, params, seed)
+    topo = build_multidc(Simulator(), "uno", params, scale, seed=seed)
     sim = topo.sim
     for i, (ab, _ba) in enumerate(topo.border_links):
         ab.loss_model = GilbertElliottLoss(ge, seed=seed * 7 + i)

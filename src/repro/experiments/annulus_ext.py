@@ -11,41 +11,31 @@ inter-DC tail FCT.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 from repro.analysis.fct import summarize_fcts
-from repro.coding.block import BlockConfig
 from repro.core.annulus import AnnulusConfig, AnnulusUnoCC, enable_qcn
 from repro.core.params import UnoParams
-from repro.core.unocc import UnoCCConfig
-from repro.core.unolb import UnoLB
-from repro.core.unorc import UnoRCConfig, UnoRCReceiver, UnoRCSender
+from repro.core.uno import start_uno_flow, unocc_config
+from repro.core.unocc import UnoCC
 from repro.experiments.api import ExperimentPoint
-from repro.experiments.harness import ExperimentScale, scale_for
+from repro.experiments.harness import ExperimentScale, build_multidc, scale_for
 from repro.experiments.report import print_experiment
 from repro.sim.engine import Simulator
 from repro.sim.switch import QCNConfig
 from repro.sim.units import MIB
-from repro.topology.multidc import MultiDC, MultiDCConfig
 
 DEFAULT_SEED = 14
 VARIANTS = ("uno", "uno+annulus")
 
 
-def _cc(params: UnoParams, annulus: bool) -> AnnulusUnoCC:
-    config = UnoCCConfig(
-        alpha_frac_of_bdp=params.alpha_frac_of_bdp,
-        beta=params.qa_beta,
-        k_bytes=params.k_bytes,
-        epoch_period_ps=params.intra_rtt_ps,
-    )
+def _cc(params: UnoParams, annulus: bool) -> UnoCC:
     if annulus:
-        return AnnulusUnoCC(config, AnnulusConfig())
+        return AnnulusUnoCC(unocc_config(params), AnnulusConfig())
     # AnnulusUnoCC without QCN-armed switches never sees CNPs, but using
     # the plain class keeps the comparison honest.
-    from repro.core.unocc import UnoCC
-
-    return UnoCC(config)
+    return UnoCC(unocc_config(params))
 
 
 def run_variant(annulus: bool, scale: ExperimentScale, flow_bytes: int,
@@ -53,20 +43,9 @@ def run_variant(annulus: bool, scale: ExperimentScale, flow_bytes: int,
     """Oversubscribed-WAN run with or without the Annulus loop."""
     sim = Simulator()
     params = scale.params()
-    topo = MultiDC(
-        sim,
-        MultiDCConfig(
-            k=scale.k,
-            gbps=params.link_gbps,
-            n_border_links=max(2, scale.n_border_links // 2),  # oversubscribe
-            intra_rtt_ps=params.intra_rtt_ps,
-            inter_rtt_ps=params.inter_rtt_ps,
-            queue_bytes=params.queue_bytes,
-            red=params.red(),
-            phantom=params.phantom(),
-            seed=seed,
-        ),
-    )
+    oversubscribed = replace(scale,
+                             n_border_links=max(2, scale.n_border_links // 2))
+    topo = build_multidc(sim, "uno", params, oversubscribed, seed=seed)
     if annulus:
         enable_qcn(
             topo.net,
@@ -75,25 +54,16 @@ def run_variant(annulus: bool, scale: ExperimentScale, flow_bytes: int,
                 min_interval_ps=params.intra_rtt_ps,
             ),
         )
-    from repro.transport.base import start_flow
-
     n = len(topo.hosts(0))
     done = []
-    senders = []
-    rc = UnoRCConfig(block=BlockConfig(params.ec_data_pkts,
-                                       params.ec_parity_pkts))
-    for i in range(n):
-        src = topo.host(0, i)
-        dst = topo.host(1, i)
-        senders.append(start_flow(
-            sim, topo.net, _cc(params, annulus), src, dst, flow_bytes,
-            sender_cls=UnoRCSender, receiver_cls=UnoRCReceiver,
-            receiver_kwargs={"rc": rc}, rc=rc,
-            path=UnoLB(n_subflows=rc.block.block_pkts),
-            mss=params.mtu_bytes, base_rtt_ps=params.inter_rtt_ps,
-            line_gbps=params.link_gbps, is_inter_dc=True,
-            seed=seed * 100 + i, on_complete=done.append,
-        ))
+    senders = [
+        start_uno_flow(
+            sim, topo.net, topo.host(0, i), topo.host(1, i), flow_bytes,
+            params, cc=_cc(params, annulus), seed=seed * 100 + i,
+            on_complete=done.append,
+        )
+        for i in range(n)
+    ]
     sim.run(until=scale.horizon_ps)
     if len(done) != n:
         raise RuntimeError("annulus experiment: flows unfinished")

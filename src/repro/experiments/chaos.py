@@ -284,9 +284,11 @@ def _abort_policy(cfg) -> Optional[AbortPolicy]:
     return AbortPolicy(max_consecutive_rtos=max_rtos, deadline_ps=deadline)
 
 
-def _dumbbell_flows(sim, cfg, seed) -> tuple:
+def _pair_flows(sim, cfg, seed, build, hops) -> tuple:
+    """Four DCTCP pair flows over ``build`` (``dumbbell`` or
+    ``dual_border``); a round trip crosses ``hops`` 5 us links."""
     size = 256 * 1024 if cfg["quick"] else 1024 * 1024
-    topo = dumbbell(
+    topo = build(
         sim, n_pairs=4, gbps=25.0, prop_ps=5 * US, queue_bytes=256 * 1024,
         seed=seed, convergence_delay_ps=parse_convergence(cfg["convergence"]),
     )
@@ -295,26 +297,7 @@ def _dumbbell_flows(sim, cfg, seed) -> tuple:
         senders.append(start_flow(
             sim, topo.net, DCTCP(), src, dst, size,
             start_ps=i * 20 * US,
-            base_rtt_ps=4 * 5 * US,
-            line_gbps=25.0,
-            abort=_abort_policy(cfg),
-            seed=seed + i,
-        ))
-    return topo.net, senders
-
-
-def _dual_border_flows(sim, cfg, seed) -> tuple:
-    size = 256 * 1024 if cfg["quick"] else 1024 * 1024
-    topo = dual_border(
-        sim, n_pairs=4, gbps=25.0, prop_ps=5 * US, queue_bytes=256 * 1024,
-        seed=seed, convergence_delay_ps=parse_convergence(cfg["convergence"]),
-    )
-    senders: List[Sender] = []
-    for i, (src, dst) in enumerate(zip(topo.senders, topo.receivers)):
-        senders.append(start_flow(
-            sim, topo.net, DCTCP(), src, dst, size,
-            start_ps=i * 20 * US,
-            base_rtt_ps=6 * 5 * US,  # 3 hops each way
+            base_rtt_ps=hops * 5 * US,
             line_gbps=25.0,
             abort=_abort_policy(cfg),
             seed=seed + i,
@@ -386,11 +369,8 @@ def _fattree_flows(sim, cfg, seed) -> tuple:
     traverses the core, where the lossless campaign's pause storms and
     deadlock probes strike."""
     size = 1024 * 1024 if cfg["quick"] else 4 * 1024 * 1024
-    conv = parse_convergence(cfg["convergence"])
-    if conv is None:
-        net = Network(sim, seed=seed)
-    else:
-        net = Network(sim, seed=seed, convergence_delay_ps=conv)
+    net = Network(sim, seed=seed,
+                  convergence_delay_ps=parse_convergence(cfg["convergence"]))
     FatTree(net, FatTreeConfig(k=4, gbps=25.0, link_prop_ps=1 * US,
                                queue_bytes=256 * 1024,
                                red=REDConfig(min_frac=0.25, max_frac=0.75)),
@@ -426,11 +406,11 @@ def run_point(point: ExperimentPoint) -> Dict[str, Any]:
                profile=False)
 
     if cfg["topo"] == "dumbbell":
-        net, senders = _dumbbell_flows(sim, cfg, point.seed)
+        net, senders = _pair_flows(sim, cfg, point.seed, dumbbell, 4)
     elif cfg["topo"] == "two_dc":
         net, senders = _two_dc_flows(sim, cfg, point.seed)
     elif cfg["topo"] == "dual_border":
-        net, senders = _dual_border_flows(sim, cfg, point.seed)
+        net, senders = _pair_flows(sim, cfg, point.seed, dual_border, 6)
     elif cfg["topo"] == "fattree":
         net, senders = _fattree_flows(sim, cfg, point.seed)
     else:

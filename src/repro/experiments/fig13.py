@@ -17,18 +17,16 @@ each with and without (8, 2) erasure coding.
 
 from __future__ import annotations
 
-import random
+from dataclasses import replace
 from math import fsum
 from typing import Dict, List, Optional
 
 from repro.analysis.fct import percentile
 from repro.core.params import UnoParams
-from repro.core.uno import make_unocc
-from repro.core.unolb import UnoLB
-from repro.core.unorc import UnoRCConfig, UnoRCReceiver, UnoRCSender
-from repro.coding.block import BlockConfig
+from repro.core.uno import start_uno_flow, unocc_config
+from repro.core.unocc import UnoCC
 from repro.experiments.api import ExperimentPoint
-from repro.experiments.harness import ExperimentScale, scale_for
+from repro.experiments.harness import ExperimentScale, build_multidc, scale_for
 from repro.experiments.report import print_experiment
 from repro.lb.plb import PLB
 from repro.sim.engine import Simulator
@@ -38,8 +36,7 @@ from repro.sim.failures import (
     schedule_bidirectional_failure,
 )
 from repro.sim.units import MIB, MS
-from repro.topology.multidc import MultiDC, MultiDCConfig
-from repro.transport.base import FixedEntropy, start_flow
+from repro.transport.base import FixedEntropy
 from repro.workloads.allreduce import AllreduceConfig, RingAllreduce
 
 LB_SCHEMES = ("spray", "plb", "unolb")
@@ -51,57 +48,19 @@ def make_topo(scale: ExperimentScale, params: UnoParams, lb: str,
               seed: int):
     """Two-DC topology with the LB scheme's switch mode."""
     sim = Simulator()
-    topo = MultiDC(
-        sim,
-        MultiDCConfig(
-            k=scale.k,
-            gbps=params.link_gbps,
-            n_border_links=scale.n_border_links,
-            intra_rtt_ps=params.intra_rtt_ps,
-            inter_rtt_ps=params.inter_rtt_ps,
-            queue_bytes=params.queue_bytes,
-            red=params.red(),
-            phantom=params.phantom(),
-            switch_mode="rps" if lb == "spray" else "ecmp",
-            seed=seed,
-        ),
-    )
-    return sim, topo
+    return sim, build_multidc(
+        sim, "uno", params, scale,
+        switch_mode="rps" if lb == "spray" else "ecmp", seed=seed)
 
 
-def make_path(lb: str, params: UnoParams):
-    """The sender-side path selector for an LB scheme name."""
+def make_path(lb: str):
+    """The sender-side path selector for an LB scheme name; ``None`` is
+    ``start_uno_flow``'s own UnoLB."""
     if lb == "unolb":
-        return UnoLB(n_subflows=params.ec_data_pkts + params.ec_parity_pkts)
+        return None
     if lb == "plb":
         return PLB()
     return FixedEntropy()  # spraying happens in the switches
-
-
-def start_inter_flow(sim, topo, params, src, dst, size, *, lb, ec, seed,
-                     on_complete=None):
-    """Launch one inter-DC UnoCC flow with the chosen LB and EC options."""
-    cc = make_unocc(params, is_inter_dc=True)
-    path = make_path(lb, params)
-    common = dict(
-        mss=params.mtu_bytes,
-        base_rtt_ps=params.inter_rtt_ps,
-        line_gbps=params.link_gbps,
-        path=path,
-        is_inter_dc=True,
-        seed=seed,
-        on_complete=on_complete,
-    )
-    if ec:
-        rc = UnoRCConfig(
-            block=BlockConfig(params.ec_data_pkts, params.ec_parity_pkts)
-        )
-        return start_flow(
-            sim, topo.net, cc, src, dst, size,
-            sender_cls=UnoRCSender, receiver_cls=UnoRCReceiver,
-            receiver_kwargs={"rc": rc}, rc=rc, **common,
-        )
-    return start_flow(sim, topo.net, cc, src, dst, size, **common)
 
 
 # ----------------------------------------------------------------------
@@ -126,10 +85,10 @@ def run_link_failure(lb: str, ec: bool, scale: ExperimentScale,
             remaining[0] -= 1
 
         for i in range(n_flows):
-            senders.append(start_inter_flow(
-                sim, topo, params, topo.host(0, i), topo.host(1, i),
-                flow_bytes, lb=lb, ec=ec, seed=seed * 1000 + rep * 100 + i,
-                on_complete=done,
+            senders.append(start_uno_flow(
+                sim, topo.net, topo.host(0, i), topo.host(1, i), flow_bytes,
+                params, use_rc=ec, path=make_path(lb),
+                seed=seed * 1000 + rep * 100 + i, on_complete=done,
             ))
         sim.run(until=scale.horizon_ps)
         if remaining[0] > 0:
@@ -156,10 +115,10 @@ def run_random_loss(lb: str, ec: bool, scale: ExperimentScale,
         for i, (ab, ba) in enumerate(topo.border_links):
             ab.loss_model = GilbertElliottLoss(params_ge, seed=seed * 77 + rep * 10 + i)
         done = []
-        sender = start_inter_flow(
-            sim, topo, params, topo.host(0, 0), topo.host(1, 0),
-            flow_bytes, lb=lb, ec=ec, seed=seed * 31 + rep,
-            on_complete=done.append,
+        sender = start_uno_flow(
+            sim, topo.net, topo.host(0, 0), topo.host(1, 0), flow_bytes,
+            params, use_rc=ec, path=make_path(lb),
+            seed=seed * 31 + rep, on_complete=done.append,
         )
         sim.run(until=scale.horizon_ps)
         if not done:
@@ -191,44 +150,18 @@ def run_allreduce(lb: str, ec: bool, scale: ExperimentScale,
     # Collectives run over persistent connections whose windows stay warm
     # across steps; creating a fresh flow per ring step is a modeling
     # artifact, so these flows skip slow start and begin at half a BDP
-    # (the steady window a warm connection would carry).
-    from repro.core.unocc import UnoCC, UnoCCConfig
-
-    def warm_cc(is_inter: bool) -> UnoCC:
-        return UnoCC(UnoCCConfig(
-            alpha_frac_of_bdp=params.alpha_frac_of_bdp,
-            beta=params.qa_beta,
-            k_bytes=params.k_bytes,
-            epoch_period_ps=params.intra_rtt_ps,
-            use_slow_start=False,
-            init_cwnd_frac_of_bdp=0.5,
-        ))
+    # (the steady window a warm connection would carry). Intra-DC ring
+    # steps stay on one ECMP path; only the WAN hops use the LB scheme.
+    warm = replace(unocc_config(params), use_slow_start=False,
+                   init_cwnd_frac_of_bdp=0.5)
 
     def starter(src, dst, size, on_complete, start_ps):
-        is_inter = src.dc != dst.dc
-        cc = warm_cc(is_inter)
-        common = dict(
-            mss=params.mtu_bytes,
-            base_rtt_ps=params.base_rtt_for(is_inter),
-            line_gbps=params.link_gbps,
-            is_inter_dc=is_inter,
-            on_complete=on_complete,
+        path = make_path(lb) if src.dc != dst.dc else FixedEntropy()
+        return start_uno_flow(
+            sim, topo.net, src, dst, size, params, start_ps=start_ps,
+            use_rc=ec, cc=UnoCC(warm), path=path, on_complete=on_complete,
             seed=seed ^ (src.node_id * 131 + dst.node_id),
         )
-        if not is_inter:
-            return start_flow(sim, topo.net, cc, src, dst, size, **common)
-        if ec:
-            rc = UnoRCConfig(
-                block=BlockConfig(params.ec_data_pkts, params.ec_parity_pkts)
-            )
-            return start_flow(
-                sim, topo.net, cc, src, dst, size,
-                sender_cls=UnoRCSender, receiver_cls=UnoRCReceiver,
-                receiver_kwargs={"rc": rc}, rc=rc,
-                path=make_path(lb, params), **common,
-            )
-        return start_flow(sim, topo.net, cc, src, dst, size,
-                          path=make_path(lb, params), **common)
 
     ar = RingAllreduce(
         sim, topo,

@@ -8,8 +8,12 @@ A *scheme* is one of the paper's comparison points:
 - ``"gemini"``     — Gemini for all flows; ECMP; no phantom queues.
 - ``"mprdma_bbr"`` — MPRDMA intra-DC + BBR inter-DC; ECMP; no phantom.
 
-Load-balancer/EC ablations (Fig 13) are expressed through ``lb`` and
-``ec`` overrides on the Uno launcher rather than separate scheme names.
+Two-DC worlds are built by :func:`build_multidc` (Fig 4 alone builds its
+own, to toggle phantom queues) and every Uno flow starts through
+:func:`repro.core.uno.start_uno_flow`; experiments that ablate a Uno
+piece (Fig 13's load balancers and EC, the UnoCC ablations, Annulus)
+pass its ``use_rc`` / ``path`` / ``cc`` overrides directly rather than
+adding scheme names here.
 """
 
 from __future__ import annotations
@@ -19,12 +23,17 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.core.params import UnoParams
 from repro.core.uno import start_uno_flow
-from repro.core.unolb import UnoLB
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.units import MIB, MS, US
 from repro.topology.multidc import MultiDC, MultiDCConfig
-from repro.transport.base import AbortPolicy, FixedEntropy, Sender, start_flow
+from repro.transport.base import (
+    AbortPolicy,
+    CongestionControl,
+    FixedEntropy,
+    Sender,
+    start_flow,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.generator import FlowSpec
@@ -131,33 +140,20 @@ def make_launcher(
     params: UnoParams,
     *,
     seed: int = 0,
-    lb: Optional[str] = None,   # Uno only: "unolb" (default), "ecmp", "plb", "rps"
-    ec: Optional[bool] = None,  # Uno only: erasure coding on inter-DC flows
     abort: Optional[AbortPolicy] = None,  # connection abort policy (all schemes)
 ) -> FlowLauncher:
     """Build the per-scheme flow launcher used by every experiment.
 
-    A scheme's baseline controllers (and PLB) are imported here, by the
-    branch that launches them: a run pays for the code it runs."""
+    A baseline scheme's controllers are imported here, by the branch that
+    launches them: a run pays for the code it runs."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     net = topo.net
 
     if scheme in ("uno", "uno_ecmp"):
-        use_lb_default = scheme == "uno"
-        use_ec = (scheme == "uno") if ec is None else ec
-        lb_name = lb if lb is not None else ("unolb" if use_lb_default else "ecmp")
-        if lb_name == "plb":
-            from repro.lb.plb import PLB
+        full = scheme == "uno"
 
         def launch(spec: FlowSpec, idx: int, on_complete) -> Sender:
-            if lb_name == "unolb":
-                n_sub = params.ec_data_pkts + params.ec_parity_pkts
-                path = UnoLB(n_subflows=n_sub)
-            elif lb_name == "plb":
-                path = PLB()
-            else:  # "ecmp" and "rps" (rps is a switch mode; sender entropy fixed)
-                path = FixedEntropy()
             return start_uno_flow(
                 sim,
                 net,
@@ -166,9 +162,8 @@ def make_launcher(
                 spec.size_bytes,
                 params,
                 start_ps=spec.start_ps,
-                use_rc=use_ec,
-                use_lb=False,  # path passed explicitly below
-                path=path,
+                use_rc=full,
+                path=None if full else FixedEntropy(),
                 abort=abort,
                 on_complete=on_complete,
                 seed=seed ^ (idx * 0x9E3779B1),
@@ -179,42 +174,24 @@ def make_launcher(
     if scheme == "gemini":
         from repro.transport.gemini import Gemini, GeminiConfig
 
-        def launch(spec: FlowSpec, idx: int, on_complete) -> Sender:
-            cc = Gemini(
+        def controller(is_inter: bool) -> CongestionControl:
+            return Gemini(
                 GeminiConfig(alpha_frac_of_bdp=params.alpha_frac_of_bdp),
                 intra_bdp_bytes=params.intra_bdp_bytes,
             )
-            is_inter = spec.src.dc != spec.dst.dc
-            return start_flow(
-                sim,
-                net,
-                cc,
-                spec.src,
-                spec.dst,
-                spec.size_bytes,
-                start_ps=spec.start_ps,
-                mss=params.mtu_bytes,
-                base_rtt_ps=params.base_rtt_for(is_inter),
-                line_gbps=params.link_gbps,
-                is_inter_dc=is_inter,
-                abort=abort,
-                on_complete=on_complete,
-                seed=seed ^ (idx * 0x9E3779B1),
-            )
+    else:  # mprdma_bbr: separated control loops.
+        from repro.transport.bbr import BBR
+        from repro.transport.mprdma import MPRDMA
 
-        return launch
-
-    # mprdma_bbr: separated control loops.
-    from repro.transport.bbr import BBR
-    from repro.transport.mprdma import MPRDMA
+        def controller(is_inter: bool) -> CongestionControl:
+            return BBR() if is_inter else MPRDMA()
 
     def launch(spec: FlowSpec, idx: int, on_complete) -> Sender:
         is_inter = spec.src.dc != spec.dst.dc
-        cc = BBR() if is_inter else MPRDMA()
         return start_flow(
             sim,
             net,
-            cc,
+            controller(is_inter),
             spec.src,
             spec.dst,
             spec.size_bytes,

@@ -243,23 +243,37 @@ def _run_pool(points, todo, records, cache, printer, jobs, timeout_s,
 
 
 def _reap(point, proc, conn, t0, timeout_s) -> Optional[PointRecord]:
-    """One poll of a worker: its record when finished, else None."""
+    """One poll of a worker: its record when finished, else None.
+
+    Liveness is read before the pipe: a worker that sends its result and
+    exits between the two reads is then still alive here and its result
+    is read on the next poll. A worker is reported ``WorkerDied`` only
+    when it was already dead with nothing in the pipe, or the pipe closed
+    empty (the worker exited without sending)."""
     elapsed = time.monotonic() - t0
+    alive = proc.is_alive()
     if conn.poll():
         try:
             status, payload, telem = conn.recv()
         except (EOFError, OSError):
-            status, payload, telem = "error", {
-                "type": "WorkerError",
-                "message": "worker pipe closed before sending a result",
-            }, None
+            alive = False
+        else:
+            proc.join()
+            conn.close()
+            if status == "ok":
+                return PointRecord(point, "ok", result=payload,
+                                   elapsed_s=elapsed, telemetry=telem)
+            return PointRecord(point, "error", error=payload,
+                               elapsed_s=elapsed, telemetry=telem)
+    if not alive:
         proc.join()
         conn.close()
-        if status == "ok":
-            return PointRecord(point, "ok", result=payload,
-                               elapsed_s=elapsed, telemetry=telem)
-        return PointRecord(point, "error", error=payload, elapsed_s=elapsed,
-                           telemetry=telem)
+        return PointRecord(
+            point, "error", elapsed_s=elapsed,
+            error={"type": "WorkerDied",
+                   "message": f"worker exited with code {proc.exitcode} "
+                              f"without returning a result"},
+        )
     if timeout_s is not None and elapsed > timeout_s:
         proc.terminate()
         proc.join()
@@ -268,15 +282,6 @@ def _reap(point, proc, conn, t0, timeout_s) -> Optional[PointRecord]:
             point, "timeout", elapsed_s=elapsed,
             error={"type": "Timeout",
                    "message": f"point exceeded timeout of {timeout_s}s"},
-        )
-    if not proc.is_alive():
-        proc.join()
-        conn.close()
-        return PointRecord(
-            point, "error", elapsed_s=elapsed,
-            error={"type": "WorkerDied",
-                   "message": f"worker exited with code {proc.exitcode} "
-                              f"without returning a result"},
         )
     return None
 

@@ -59,9 +59,11 @@ class Network:
         self,
         sim: Simulator,
         seed: int = 1,
-        convergence_delay_ps: float = DEFAULT_CONVERGENCE_DELAY_PS,
+        convergence_delay_ps: Optional[float] = None,
     ):
-        if convergence_delay_ps < 0:
+        if convergence_delay_ps is None:
+            convergence_delay_ps = DEFAULT_CONVERGENCE_DELAY_PS
+        elif convergence_delay_ps < 0:
             raise ValueError(
                 f"negative convergence delay: {convergence_delay_ps}"
             )

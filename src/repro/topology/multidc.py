@@ -80,14 +80,8 @@ class MultiDC:
     def __init__(self, sim: Simulator, config: MultiDCConfig = MultiDCConfig()):
         self.sim = sim
         self.config = config
-        if config.convergence_delay_ps is None:
-            self.net = Network(sim, seed=config.seed)
-        else:
-            self.net = Network(
-                sim,
-                seed=config.seed,
-                convergence_delay_ps=config.convergence_delay_ps,
-            )
+        self.net = Network(sim, seed=config.seed,
+                           convergence_delay_ps=config.convergence_delay_ps)
         ft_config = FatTreeConfig(
             k=config.k,
             gbps=config.gbps,

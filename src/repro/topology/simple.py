@@ -18,14 +18,6 @@ from repro.sim.queues import (
 from repro.sim.units import MIB, US
 
 
-def _make_net(sim: Simulator, seed: int,
-              convergence_delay_ps: Optional[float]) -> Network:
-    """Network with the caller's convergence delay, or the default."""
-    if convergence_delay_ps is None:
-        return Network(sim, seed=seed)
-    return Network(sim, seed=seed, convergence_delay_ps=convergence_delay_ps)
-
-
 @dataclass
 class SimpleTopo:
     net: Network
@@ -51,7 +43,8 @@ def dumbbell(
     The swL->swR link is the shared bottleneck (optionally slower)."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    net = _make_net(sim, seed, convergence_delay_ps)
+    net = Network(sim, seed=seed,
+                  convergence_delay_ps=convergence_delay_ps)
     sw_l = net.add_switch("swL")
     sw_r = net.add_switch("swR")
     senders = [net.add_host(f"s{i}") for i in range(n_pairs)]
@@ -98,7 +91,8 @@ def dual_border(
     WAN links terminate on the same two border switches)."""
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    net = _make_net(sim, seed, convergence_delay_ps)
+    net = Network(sim, seed=seed,
+                  convergence_delay_ps=convergence_delay_ps)
     sw_l = net.add_switch("swL")
     sw_r = net.add_switch("swR")
     # "border" in the names keys the chaos node selector.
@@ -140,7 +134,8 @@ def incast_star(
     The switch->receiver port is the bottleneck."""
     if n_senders < 1:
         raise ValueError("need at least one sender")
-    net = _make_net(sim, seed, convergence_delay_ps)
+    net = Network(sim, seed=seed,
+                  convergence_delay_ps=convergence_delay_ps)
     sw = net.add_switch("sw")
     receiver = net.add_host("recv")
     senders = [net.add_host(f"s{i}") for i in range(n_senders)]

@@ -113,7 +113,7 @@ class TestAnnulusReaction:
 
     def test_plain_unocc_ignores_cnps(self):
         params = UnoParams()
-        cc = make_unocc(params, is_inter_dc=False)
+        cc = make_unocc(params)
 
         class S:
             cwnd = 4096.0

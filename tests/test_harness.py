@@ -85,18 +85,21 @@ class TestLaunchers:
         assert isinstance(inter, UnoRCSender)
         assert not isinstance(intra, UnoRCSender)
 
-    def test_uno_lb_override(self):
-        from repro.lb.plb import PLB
+    def test_uno_ecmp_launcher_is_one_path_without_ec(self):
+        from repro.core.unorc import UnoRCSender
+        from repro.transport.base import FixedEntropy
 
         scale = ExperimentScale.quick()
         sim = Simulator()
         params = scale.params()
-        topo = build_multidc(sim, "uno", params, scale, seed=2)
-        launcher = make_launcher("uno", sim, topo, params, seed=3, lb="plb",
-                                 ec=False)
-        spec = incast_specs(topo, n_intra=0, n_inter=1, size_bytes=MIB)[0]
-        sender = launcher(spec, 0, lambda _x: None)
-        assert isinstance(sender.path, PLB)
+        topo = build_multidc(sim, "uno_ecmp", params, scale, seed=2)
+        specs = incast_specs(topo, n_intra=1, n_inter=1, size_bytes=MIB)
+        launcher = make_launcher("uno_ecmp", sim, topo, params, seed=3)
+        senders = [launcher(s, i, lambda _x: None) for i, s in enumerate(specs)]
+        assert {s.is_inter_dc for s in senders} == {False, True}
+        for s in senders:
+            assert isinstance(s.path, FixedEntropy)
+            assert not isinstance(s, UnoRCSender)
 
     def test_mprdma_bbr_splits_by_class(self):
         from repro.transport.bbr import BBR

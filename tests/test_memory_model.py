@@ -552,10 +552,18 @@ from repro.workloads.patterns import incast_specs
 scale = ExperimentScale.quick()
 params = scale.params()
 
-def run(scheme, n_intra, lb=None):
+def run(scheme, n_intra, path=None):
     sim = Simulator()
     topo = build_multidc(sim, scheme, params, scale)
-    launcher = make_launcher(scheme, sim, topo, params, lb=lb)
+    launcher = make_launcher(scheme, sim, topo, params)
+    if path is not None:
+        from repro.core.uno import start_uno_flow
+
+        def launcher(spec, idx, on_complete):
+            return start_uno_flow(sim, topo.net, spec.src, spec.dst,
+                                  spec.size_bytes, params,
+                                  start_ps=spec.start_ps, path=path(),
+                                  on_complete=on_complete)
     specs = incast_specs(topo, n_intra, 1, 64 << 10)
     return run_specs(sim, specs, launcher, scale.horizon_ps)
 
@@ -575,7 +583,8 @@ assert not loaded, loaded
 # The same entry points load the rest on demand.
 gemini = run("gemini", 1)
 mixed = run("mprdma_bbr", 1)
-plb = run("uno", 1, lb="plb")
+from repro.lb.plb import PLB
+plb = run("uno", 1, path=PLB)
 assert all(s.done for s in gemini + mixed + plb)
 assert {type(s.cc).__name__ for s in gemini} == {"Gemini"}
 assert [type(s.cc).__name__ for s in mixed] == ["MPRDMA", "BBR"]

@@ -7,11 +7,13 @@ failures, timeouts — are tested without heavy simulations.
 """
 
 import math
+import os
 import pickle
+import time
 
 import pytest
 
-from repro.experiments import selftest
+from repro.experiments import runner, selftest
 from repro.experiments.api import (
     EXPERIMENTS,
     ExperimentPoint,
@@ -402,3 +404,50 @@ class TestOneWorldResident:
         raise_failures(run_points(points, jobs=1))
         assert len(worlds) == 2
         assert alive_at_start == [[], [False]]
+
+
+class _SlowEmptyPoll:
+    """A worker pipe whose empty poll takes ~0.3 s: long enough for the
+    worker to send its result and exit before the reaper reads on."""
+
+    def __init__(self, conn):
+        self._conn = conn
+
+    def poll(self):
+        if self._conn.poll():
+            return True
+        time.sleep(0.3)
+        return False
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestWorkerReaping:
+    def test_worker_exiting_during_an_empty_poll_is_not_lost(
+            self, monkeypatch):
+        """A worker that sends its result and exits while the reaper is
+        between its pipe and liveness reads still comes back ``ok``."""
+        reap = runner._reap
+        monkeypatch.setattr(
+            runner, "_reap",
+            lambda point, proc, conn, t0, timeout_s:
+                reap(point, proc, _SlowEmptyPoll(conn), t0, timeout_s))
+        # Each worker is still napping at the first poll, and has sent
+        # and exited by the time that poll's 0.3 s stall ends.
+        points = [ExperimentPoint("selftest", f"nap/{i}",
+                                  {"mode": "sleep", "sleep_s": 0.1,
+                                   "quick": True}, seed=i)
+                  for i in range(2)]
+        records = run_points(points, jobs=2)
+        assert [(r.status, r.error) for r in records] == [("ok", None)] * 2
+        assert [r.result for r in records] == [{"slept": True}] * 2
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        """A worker process that exits without a result is a
+        ``WorkerDied`` record carrying its exit code."""
+        monkeypatch.setattr(runner, "execute_point", lambda point: os._exit(3))
+        record = run_points(selftest.points()[:1], jobs=2)[0]
+        assert record.status == "error"
+        assert record.error["type"] == "WorkerDied"
+        assert "exited with code 3" in record.error["message"]

@@ -1,11 +1,17 @@
 """start_uno_flow composition rules."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import UnoParams, start_uno_flow
+from repro.core.uno import unocc_config
+from repro.core.unocc import UnoCC
 from repro.core.unolb import UnoLB
 from repro.core.unorc import UnoRCSender
+from repro.experiments.fig13 import make_path
 from repro.experiments.harness import ExperimentScale, build_multidc
+from repro.lb.plb import PLB
 from repro.sim.engine import Simulator
 from repro.sim.units import MIB
 from repro.transport.base import FixedEntropy
@@ -45,11 +51,44 @@ class TestComposition:
                            MIB, params, use_rc=False)
         assert not isinstance(s, UnoRCSender)
 
-    def test_use_lb_false_gives_fixed_entropy(self, setup):
+    def test_intra_flow_path_is_unolb_by_default(self, setup):
+        sim, params, topo = setup
+        s = start_uno_flow(sim, topo.net, topo.host(0, 0), topo.host(0, 5),
+                           MIB, params)
+        assert isinstance(s.path, UnoLB)
+        assert s.path.n_subflows == params.ec_data_pkts + params.ec_parity_pkts
+
+    def test_fixed_entropy_path_keeps_ec(self, setup):
         sim, params, topo = setup
         s = start_uno_flow(sim, topo.net, topo.host(0, 0), topo.host(1, 0),
-                           MIB, params, use_lb=False)
+                           MIB, params, path=FixedEntropy())
         assert isinstance(s.path, FixedEntropy)
+        assert isinstance(s, UnoRCSender)
+
+    def test_fig13_plb_path(self, setup):
+        sim, params, topo = setup
+        s = start_uno_flow(sim, topo.net, topo.host(0, 0), topo.host(1, 0),
+                           MIB, params, use_rc=False,
+                           path=make_path("plb"))
+        assert isinstance(s.path, PLB)
+        assert not isinstance(s, UnoRCSender)
+
+    def test_cc_override_is_the_senders_cc(self, setup):
+        sim, params, topo = setup
+        warm = UnoCC(replace(unocc_config(params), use_slow_start=False))
+        s = start_uno_flow(sim, topo.net, topo.host(0, 0), topo.host(1, 0),
+                           MIB, params, cc=warm)
+        assert s.cc is warm
+        assert isinstance(s, UnoRCSender)
+        assert isinstance(s.path, UnoLB)
+
+    def test_default_cc_is_table2_unocc_per_flow(self, setup):
+        sim, params, topo = setup
+        a, b = (start_uno_flow(sim, topo.net, topo.host(0, i),
+                               topo.host(1, i), MIB, params)
+                for i in range(2))
+        assert type(a.cc) is UnoCC and a.cc is not b.cc
+        assert a.cc.config is b.cc.config is unocc_config(params)
 
     def test_path_override_wins(self, setup):
         sim, params, topo = setup

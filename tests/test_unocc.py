@@ -327,12 +327,12 @@ class TestTimeout:
 class TestFactory:
     def test_make_unocc_uses_intra_epoch_for_inter_flows(self):
         params = UnoParams()
-        cc = make_unocc(params, is_inter_dc=True)
+        cc = make_unocc(params)
         assert cc._tracker.period_ps == params.intra_rtt_ps
 
     def test_make_unocc_table2_constants(self):
         params = UnoParams()
-        cc = make_unocc(params, is_inter_dc=False)
+        cc = make_unocc(params)
         assert cc.config.alpha_frac_of_bdp == 0.001
         assert cc.config.beta == 0.5
         assert cc.config.k_bytes == pytest.approx(params.intra_bdp_bytes / 7)
@@ -348,7 +348,7 @@ class TestEndToEnd:
                            phantom=params.phantom())
         done = []
         for i, snd in enumerate(topo.senders):
-            cc = make_unocc(params, is_inter_dc=False)
+            cc = make_unocc(params)
             start_flow(sim, topo.net, cc, snd, topo.receivers[0], 1 * MIB,
                        base_rtt_ps=14 * US, seed=i, on_complete=done.append)
         sim.run(until=10**12)

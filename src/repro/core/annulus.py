@@ -64,10 +64,7 @@ class AnnulusUnoCC(UnoCC):
             float(sender.mss), sender.cwnd * (1 - self.annulus.cnp_md)
         )
         self.cnp_reactions += 1
-        if self.config.use_pacing:
-            sender.pacing_rate_gbps = min(
-                sender.line_gbps, sender.rate_estimate_gbps
-            )
+        sender.pacing_rate_gbps = min(sender.line_gbps, sender.rate_estimate_gbps)
 
 
 def enable_qcn(net, config: QCNConfig = QCNConfig(),

@@ -29,8 +29,11 @@ from typing import Optional
 
 from repro.sim.engine import EventHandle
 from repro.sim.packet import Packet
-from repro.transport.base import CongestionControl, Sender
-from repro.transport.epochs import EpochTracker
+from repro.transport.base import Sender
+from repro.transport.epochs import EpochTracker, Startup, WindowCC
+
+MD_SCALE_FLOOR = 0.3**3    # gentleness floor: MD never fully off
+QA_MIN_CWND_PKTS = 8       # QA only judges multi-packet windows
 
 
 @dataclass(frozen=True)
@@ -40,16 +43,9 @@ class UnoCCConfig:
     k_bytes: float = 0.0                  # MD constant; must be set (> 0)
     epoch_period_ps: int = 14_000_000     # proportional to intra-DC RTT
     md_gentle_scale: float = 0.3          # MD_scale multiplier for phantom-only
-    md_scale_floor: float = 0.3**3        # gentleness floor: MD never fully off
     ewma_g: float = 1.0 / 16.0            # gain for E (ECN fraction EWMA)
-    delay_zero_thresh_ps: int = 0         # 0 = auto (4 MTU serializations)
-    init_cwnd_pkts: int = 10              # floor on the initial window
-    init_cwnd_frac_of_bdp: float = 0.0    # optional BDP-proportional start
-    qa_min_cwnd_pkts: int = 8             # QA only judges multi-packet windows
-    use_slow_start: bool = True           # double per RTT until first signal
-    max_cwnd_frac_of_bdp: float = 2.0     # window cap (BDP + queue headroom)
     max_md: float = 0.5                   # clamp on a single MD step
-    use_pacing: bool = True
+    startup: Startup = Startup()          # slow start until a half-marked epoch
 
     def __post_init__(self) -> None:
         if self.alpha_frac_of_bdp <= 0:
@@ -64,22 +60,20 @@ class UnoCCConfig:
             raise ValueError("md_gentle_scale must be in (0, 1]")
 
 
-class UnoCC(CongestionControl):
+class UnoCC(WindowCC):
     """The paper's Algorithm 1 congestion controller (see module docstring)."""
     def __init__(self, config: UnoCCConfig):
-        self.config = config
+        super().__init__(config)
         self.ecn_ewma = 0.0        # E in the paper
         self.md_scale = 1.0
         self._tracker = EpochTracker(period_ps=config.epoch_period_ps)
         self._alpha_bytes = 0.0
-        self._delay_thresh_ps = config.delay_zero_thresh_ps
+        self._delay_thresh_ps = 0
         # Quick Adapt state.
         self._qa_handle: Optional[EventHandle] = None
         self._qa_bytes_start = 0
         self._qa_started = False
         self._skip_until_ps = -1
-        self._slow_start = False
-        self._max_cwnd = float("inf")
         self.qa_triggers = 0
         self.md_events = 0
         self.gentle_md_events = 0
@@ -87,31 +81,20 @@ class UnoCC(CongestionControl):
     # ------------------------------------------------------------------
 
     def on_init(self, sender: Sender) -> None:
-        cfg = self.config
-        sender.cwnd = float(
-            max(
-                cfg.init_cwnd_pkts * sender.mss,
-                cfg.init_cwnd_frac_of_bdp * sender.bdp_bytes,
-            )
-        )
-        self._slow_start = cfg.use_slow_start
-        self._max_cwnd = cfg.max_cwnd_frac_of_bdp * sender.bdp_bytes
-        self._alpha_bytes = cfg.alpha_frac_of_bdp * sender.bdp_bytes
-        if self._delay_thresh_ps <= 0:
-            # "delay == 0": less than ~4 packets' worth of physical
-            # queuing. The threshold must sit *below* the standing queue a
-            # frozen gentle-MD regime would sustain, so that real physical
-            # buildup reliably resets MD_scale to 1 — this is the
-            # self-regulating loop of Algorithm 1 (gentle while phantom-
-            # only, full strength as soon as physical queues form).
-            # Serialization time of 4 MSS at line rate. Divide in float:
-            # integer-truncating a sub-1 Gbps line rate (wire-path rate
-            # caps) would divide by zero.
-            self._delay_thresh_ps = int(4 * sender.mss * 8000 / sender.line_gbps)
+        super().on_init(sender)
+        self._alpha_bytes = self.config.alpha_frac_of_bdp * sender.bdp_bytes
+        # "delay == 0": less than ~4 packets' worth of physical queuing.
+        # The threshold must sit *below* the standing queue a frozen
+        # gentle-MD regime would sustain, so that real physical buildup
+        # reliably resets MD_scale to 1 — this is the self-regulating loop
+        # of Algorithm 1 (gentle while phantom-only, full strength as soon
+        # as physical queues form). Serialization time of 4 MSS at line
+        # rate. Divide in float: integer-truncating a sub-1 Gbps line rate
+        # (wire-path rate caps) would divide by zero.
+        self._delay_thresh_ps = int(4 * sender.mss * 8000 / sender.line_gbps)
         self._qa_bytes_start = 0
         self._qa_started = False  # QA windows begin with the first ACK
-        if cfg.use_pacing:
-            sender.pacing_rate_gbps = sender.line_gbps
+        sender.pacing_rate_gbps = sender.line_gbps
 
     def on_done(self, sender: Sender) -> None:
         if self._qa_handle is not None:
@@ -121,7 +104,6 @@ class UnoCC(CongestionControl):
     # -- AIMD ------------------------------------------------------------
 
     def on_ack(self, sender: Sender, pkt: Packet, rtt_ps: int, ecn: bool) -> None:
-        cfg = self.config
         if not self._qa_started:
             # First feedback from the network: start the QA cadence now so
             # the first window is not judged before any ACK could arrive.
@@ -136,10 +118,7 @@ class UnoCC(CongestionControl):
             # a single-mark exit strands slow (inter-DC) flows at tiny
             # windows that additive increase takes seconds to grow.
             if not ecn:
-                sender.cwnd += pkt.payload  # double per RTT
-                if sender.cwnd >= self._max_cwnd:
-                    sender.cwnd = self._max_cwnd
-                    self._slow_start = False
+                self._slow_start_ack(sender, pkt.payload)
         elif not ecn:
             sender.cwnd += self._alpha_bytes * pkt.payload / sender.cwnd
         if sender.cwnd > self._max_cwnd:
@@ -150,10 +129,7 @@ class UnoCC(CongestionControl):
         )
         if summary is not None:
             self._on_epoch(sender, summary)
-        if cfg.use_pacing:
-            sender.pacing_rate_gbps = min(
-                sender.line_gbps, sender.rate_estimate_gbps
-            )
+        sender.pacing_rate_gbps = min(sender.line_gbps, sender.rate_estimate_gbps)
 
     def _on_epoch(self, sender: Sender, summary) -> None:
         cfg = self.config
@@ -184,7 +160,7 @@ class UnoCC(CongestionControl):
             # epochs drive MD_scale to 0 and the control loop freezes
             # (no MD, and with full marking no AI either).
             self.md_scale = max(
-                cfg.md_scale_floor, self.md_scale * cfg.md_gentle_scale
+                MD_SCALE_FLOOR, self.md_scale * cfg.md_gentle_scale
             )
             self.gentle_md_events += 1
             if obs is not None:
@@ -229,7 +205,7 @@ class UnoCC(CongestionControl):
             not self._slow_start
             and now > self._skip_until_ps
             and sender.inflight_bytes > 0
-            and sender.cwnd >= cfg.qa_min_cwnd_pkts * sender.mss
+            and sender.cwnd >= QA_MIN_CWND_PKTS * sender.mss
         ):
             if acked_in_window < sender.cwnd * cfg.beta:
                 sender.cwnd = float(max(sender.mss, acked_in_window))
@@ -244,16 +220,14 @@ class UnoCC(CongestionControl):
                     if ev is not None and ev.wants("cwnd"):
                         ev.emit("cwnd", "quick_adapt", t=now,
                                 flow=sender.flow_id, new=sender.cwnd)
-                if cfg.use_pacing:
-                    sender.pacing_rate_gbps = min(
-                        sender.line_gbps, sender.rate_estimate_gbps
-                    )
+                sender.pacing_rate_gbps = min(
+                    sender.line_gbps, sender.rate_estimate_gbps
+                )
         self._schedule_qa(sender)
 
     def on_timeout(self, sender: Sender) -> None:
         # Timeouts indicate severe loss; treat like an extreme QA event.
-        self._slow_start = False
-        sender.cwnd = float(sender.mss)
+        super().on_timeout(sender)
         self._skip_until_ps = sender.sim.now + max(
             int(sender.srtt_ps), sender.base_rtt_ps
         )

@@ -33,6 +33,7 @@ from repro.sim.failures import GilbertElliottLoss, calibrate_gilbert_elliott
 from repro.sim.trace import RateMonitor
 from repro.sim.units import GIB, MIB, MS
 from repro.transport.base import FixedEntropy
+from repro.transport.epochs import Startup
 from repro.workloads.patterns import incast_specs
 
 DEFAULT_SEED = 12
@@ -48,8 +49,8 @@ def _unocc(params: UnoParams, is_inter: bool, *, unified: bool = True,
         epoch_period_ps=(params.intra_rtt_ps if unified
                          else params.base_rtt_for(is_inter)),
         md_gentle_scale=0.3 if gentle else 1.0,
-        use_slow_start=not warm_start,
-        init_cwnd_frac_of_bdp=1.0 if warm_start else 0.0,
+        startup=Startup(use_slow_start=not warm_start,
+                        init_cwnd_frac_of_bdp=1.0 if warm_start else 0.0),
     ))
 
 

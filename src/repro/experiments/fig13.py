@@ -28,7 +28,6 @@ from repro.core.unocc import UnoCC
 from repro.experiments.api import ExperimentPoint
 from repro.experiments.harness import ExperimentScale, build_multidc, scale_for
 from repro.experiments.report import print_experiment
-from repro.lb.plb import PLB
 from repro.sim.engine import Simulator
 from repro.sim.failures import (
     GilbertElliottLoss,
@@ -37,6 +36,7 @@ from repro.sim.failures import (
 )
 from repro.sim.units import MIB, MS
 from repro.transport.base import FixedEntropy
+from repro.transport.epochs import Startup
 from repro.workloads.allreduce import AllreduceConfig, RingAllreduce
 
 LB_SCHEMES = ("spray", "plb", "unolb")
@@ -59,6 +59,8 @@ def make_path(lb: str):
     if lb == "unolb":
         return None
     if lb == "plb":
+        from repro.lb.plb import PLB
+
         return PLB()
     return FixedEntropy()  # spraying happens in the switches
 
@@ -152,8 +154,9 @@ def run_allreduce(lb: str, ec: bool, scale: ExperimentScale,
     # artifact, so these flows skip slow start and begin at half a BDP
     # (the steady window a warm connection would carry). Intra-DC ring
     # steps stay on one ECMP path; only the WAN hops use the LB scheme.
-    warm = replace(unocc_config(params), use_slow_start=False,
-                   init_cwnd_frac_of_bdp=0.5)
+    warm = replace(unocc_config(params),
+                   startup=Startup(use_slow_start=False,
+                                   init_cwnd_frac_of_bdp=0.5))
 
     def starter(src, dst, size, on_complete, start_ps):
         path = make_path(lb) if src.dc != dst.dc else FixedEntropy()

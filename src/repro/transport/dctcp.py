@@ -10,44 +10,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.packet import Packet
-from repro.transport.base import CongestionControl, Sender
-from repro.transport.epochs import EpochTracker
+from repro.transport.base import Sender
+from repro.transport.epochs import EpochTracker, Startup, WindowCC
 
 
 @dataclass(frozen=True)
 class DCTCPConfig:
     g: float = 1.0 / 16.0               # EWMA gain for alpha
-    init_cwnd_pkts: int = 10            # floor on the initial window
-    init_cwnd_frac_of_bdp: float = 0.0  # optional BDP-proportional start
-    use_slow_start: bool = True         # double per RTT until first mark
-    max_cwnd_frac_of_bdp: float = 2.0
-    min_cwnd_pkts: float = 1.0
+    startup: Startup = Startup()        # slow start until the first mark
 
     def __post_init__(self) -> None:
         if not (0.0 < self.g <= 1.0):
             raise ValueError(f"g={self.g} outside (0, 1]")
-        if self.init_cwnd_pkts < 1:
-            raise ValueError("init_cwnd_pkts must be >= 1")
 
 
-class DCTCP(CongestionControl):
+class DCTCP(WindowCC):
     """Classic DCTCP: per-epoch ECN-fraction EWMA drives the window cut."""
     def __init__(self, config: DCTCPConfig = DCTCPConfig()):
-        self.config = config
+        super().__init__(config)
         self.alpha = 0.0
         self._tracker: EpochTracker | None = None
-        self._slow_start = False
-        self._max_cwnd = float("inf")
 
     def on_init(self, sender: Sender) -> None:
-        sender.cwnd = float(
-            max(
-                self.config.init_cwnd_pkts * sender.mss,
-                self.config.init_cwnd_frac_of_bdp * sender.bdp_bytes,
-            )
-        )
-        self._slow_start = self.config.use_slow_start
-        self._max_cwnd = self.config.max_cwnd_frac_of_bdp * sender.bdp_bytes
+        super().on_init(sender)
         self._tracker = EpochTracker(period_ps=sender.base_rtt_ps)
 
     def on_ack(self, sender: Sender, pkt: Packet, rtt_ps: int, ecn: bool) -> None:
@@ -55,9 +40,7 @@ class DCTCP(CongestionControl):
             if ecn:
                 self._slow_start = False
             else:
-                sender.cwnd += pkt.payload
-                if sender.cwnd >= self._max_cwnd:
-                    self._slow_start = False
+                self._slow_start_ack(sender, pkt.payload)
         elif not ecn:
             # Additive increase of one MSS per RTT, applied per ACK.
             sender.cwnd += sender.mss * pkt.payload / sender.cwnd
@@ -72,10 +55,5 @@ class DCTCP(CongestionControl):
         self.alpha = (1 - g) * self.alpha + g * frac
         if frac > 0:
             sender.cwnd *= 1 - self.alpha / 2
-        floor = self.config.min_cwnd_pkts * sender.mss
-        if sender.cwnd < floor:
-            sender.cwnd = floor
-
-    def on_timeout(self, sender: Sender) -> None:
-        self._slow_start = False
-        sender.cwnd = float(sender.mss)
+        if sender.cwnd < sender.mss:
+            sender.cwnd = float(sender.mss)

@@ -1,21 +1,34 @@
-"""Epoch tracking shared by epoch-based congestion controllers.
+"""Epochs and start-up shared by the window-based congestion controllers.
 
-UnoCC, Gemini and DCTCP all apply multiplicative decrease at most once per
-*epoch*. Following the paper (section 4.1.1): the epoch activation time is
-set on the first ACK; an epoch terminates when an ACK arrives for a data
-packet that was (re)sent at or after the activation time — guaranteeing
-the epoch's sample reflects the network *after* the previous adjustment —
-and the activation time then advances by ``epoch_period``.
+**Epochs.** UnoCC, Gemini and DCTCP all apply multiplicative decrease at
+most once per *epoch*. Following the paper (section 4.1.1): the epoch
+activation time is set on the first ACK; an epoch terminates when an ACK
+arrives for a data packet that was (re)sent at or after the activation
+time — guaranteeing the epoch's sample reflects the network *after* the
+previous adjustment — and the activation time then advances by
+``epoch_period``. The controllers differ only in what ``epoch_period``
+is: UnoCC uses a period proportional to the **intra-DC** RTT for all
+flows (the paper's unified-granularity mechanism), while Gemini/DCTCP use
+the flow's own RTT.
 
-The controllers differ only in what ``epoch_period`` is: UnoCC uses a
-period proportional to the **intra-DC** RTT for all flows (the paper's
-unified-granularity mechanism), while Gemini/DCTCP use the flow's own RTT.
+**Start-up.** DCTCP, MPRDMA, Gemini and UnoCC start a flow the same way
+(:class:`WindowCC`): an initial window of ``max(10 MSS, frac * BDP)``,
+then slow start — ``cwnd += bytes acked`` per ACK, doubling per RTT —
+until the window reaches its 2 x BDP cap or the retransmission timer
+fires. What ends slow start on congestion is each controller's own rule,
+kept in its ``on_ack``. A :class:`Startup` record picks slow start or a
+warm start at a fraction of the BDP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.transport.base import CongestionControl, Sender
+
+INIT_CWND_PKTS = 10          # floor on the initial window
+MAX_CWND_FRAC_OF_BDP = 2.0   # window cap (BDP + queue headroom)
 
 
 @dataclass
@@ -85,3 +98,47 @@ class EpochTracker:
         self.t_epoch = max(self.t_epoch + self.period_ps, pkt_sent_ps)
         self.epochs_closed += 1
         return summary
+
+
+@dataclass(frozen=True)
+class Startup:
+    """How a flow starts: slow start from ``max(10 MSS, frac * BDP)``, or
+    (``use_slow_start=False``) straight in congestion avoidance from that
+    window — a warm start."""
+
+    use_slow_start: bool = True
+    init_cwnd_frac_of_bdp: float = 0.0
+
+
+class WindowCC(CongestionControl):
+    """A window controller whose config carries a :class:`Startup`: it
+    sets the initial window and the cap, and ends slow start at the cap
+    or on a timeout. Subclasses call :meth:`_slow_start_ack` for an ACK
+    that grows the window while ``_slow_start`` holds, and clear
+    ``_slow_start`` themselves when their congestion signal fires."""
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self._slow_start = False
+        self._max_cwnd = float("inf")
+
+    def on_init(self, sender: Sender) -> None:
+        startup = self.config.startup
+        sender.cwnd = float(
+            max(
+                INIT_CWND_PKTS * sender.mss,
+                startup.init_cwnd_frac_of_bdp * sender.bdp_bytes,
+            )
+        )
+        self._slow_start = startup.use_slow_start
+        self._max_cwnd = MAX_CWND_FRAC_OF_BDP * sender.bdp_bytes
+
+    def _slow_start_ack(self, sender: Sender, payload: int) -> None:
+        sender.cwnd += payload  # double per RTT
+        if sender.cwnd >= self._max_cwnd:
+            sender.cwnd = self._max_cwnd
+            self._slow_start = False
+
+    def on_timeout(self, sender: Sender) -> None:
+        self._slow_start = False
+        sender.cwnd = float(sender.mss)

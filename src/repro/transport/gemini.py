@@ -21,33 +21,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.packet import Packet
-from repro.transport.base import CongestionControl, Sender
-from repro.transport.epochs import EpochTracker
+from repro.transport.base import Sender
+from repro.transport.epochs import EpochTracker, Startup, WindowCC
+
+EWMA_G = 1.0 / 16.0
+WAN_DELAY_THRESH_PS = 100_000_000  # 100 us of extra delay = WAN congestion
+MAX_MD = 0.5
 
 
 @dataclass(frozen=True)
 class GeminiConfig:
     alpha_frac_of_bdp: float = 0.001   # AI step per RTT, as fraction of BDP
-    k_bytes: int = 0                   # MD constant; 0 = 1/7 of flow's BDP? set by harness
-    ewma_g: float = 1.0 / 16.0
-    wan_delay_thresh_ps: int = 100_000_000  # 100 us of extra delay = WAN congestion
-    init_cwnd_pkts: int = 10                # floor on the initial window
-    init_cwnd_frac_of_bdp: float = 0.0      # optional BDP-proportional start
-    use_slow_start: bool = True             # double per RTT until first signal
-    max_cwnd_frac_of_bdp: float = 2.0
-    max_md: float = 0.5
+    startup: Startup = Startup()       # slow start until the first signal
 
     def __post_init__(self) -> None:
         if self.alpha_frac_of_bdp <= 0:
             raise ValueError("alpha fraction must be positive")
-        if not (0 < self.ewma_g <= 1):
-            raise ValueError("ewma_g outside (0, 1]")
 
 
-class Gemini(CongestionControl):
+class Gemini(WindowCC):
     """Gemini's dual-signal window control (see module docstring)."""
     def __init__(self, config: GeminiConfig, intra_bdp_bytes: int):
-        self.config = config
+        super().__init__(config)
         self.intra_bdp_bytes = intra_bdp_bytes
         self.ecn_ewma = 0.0
         self.wan_ewma = 0.0
@@ -55,47 +50,27 @@ class Gemini(CongestionControl):
         self._alpha_bytes = 0.0
         self._wan_delayed = 0
         self._wan_total = 0
-        self._slow_start = False
-        self._max_cwnd = float("inf")
-
-    def _k_bytes(self) -> float:
-        if self.config.k_bytes > 0:
-            return float(self.config.k_bytes)
-        return self.intra_bdp_bytes / 7.0
 
     def on_init(self, sender: Sender) -> None:
-        sender.cwnd = float(
-            max(
-                self.config.init_cwnd_pkts * sender.mss,
-                self.config.init_cwnd_frac_of_bdp * sender.bdp_bytes,
-            )
-        )
+        super().on_init(sender)
         self._alpha_bytes = self.config.alpha_frac_of_bdp * sender.bdp_bytes
-        self._slow_start = self.config.use_slow_start
-        self._max_cwnd = self.config.max_cwnd_frac_of_bdp * sender.bdp_bytes
         # Gemini's defining trait: epochs tick at the flow's own RTT.
         self._tracker = EpochTracker(period_ps=sender.base_rtt_ps)
 
     def on_ack(self, sender: Sender, pkt: Packet, rtt_ps: int, ecn: bool) -> None:
-        cfg = self.config
-        rel_delay_ss = max(0, rtt_ps - (sender.min_rtt_ps or sender.base_rtt_ps))
+        rel_delay = max(0, rtt_ps - (sender.min_rtt_ps or sender.base_rtt_ps))
+        wan_delayed = sender.is_inter_dc and rel_delay > WAN_DELAY_THRESH_PS
         if self._slow_start:
-            congested = ecn or (
-                sender.is_inter_dc and rel_delay_ss > cfg.wan_delay_thresh_ps
-            )
-            if congested:
+            if ecn or wan_delayed:
                 self._slow_start = False
             else:
-                sender.cwnd += pkt.payload
-                if sender.cwnd >= self._max_cwnd:
-                    self._slow_start = False
+                self._slow_start_ack(sender, pkt.payload)
         elif not ecn:
             sender.cwnd += self._alpha_bytes * pkt.payload / sender.cwnd
         if sender.cwnd > self._max_cwnd:
             sender.cwnd = self._max_cwnd
-        rel_delay = max(0, rtt_ps - (sender.min_rtt_ps or sender.base_rtt_ps))
         self._wan_total += 1
-        if sender.is_inter_dc and rel_delay > cfg.wan_delay_thresh_ps:
+        if wan_delayed:
             self._wan_delayed += 1
         assert self._tracker is not None
         summary = self._tracker.on_ack(
@@ -103,21 +78,21 @@ class Gemini(CongestionControl):
         )
         if summary is None:
             return
-        g = cfg.ewma_g
+        g = EWMA_G
         self.ecn_ewma = (1 - g) * self.ecn_ewma + g * summary.ecn_fraction
         wan_frac = self._wan_delayed / max(1, self._wan_total)
         self.wan_ewma = (1 - g) * self.wan_ewma + g * wan_frac
         self._wan_delayed = 0
         self._wan_total = 0
 
-        k = self._k_bytes()
+        k = self.intra_bdp_bytes / 7.0
         fairness_scale = 4 * k / (k + sender.bdp_bytes)
         md = 0.0
         if summary.ecn_fraction > 0:
             md = max(md, self.ecn_ewma * fairness_scale)
         if sender.is_inter_dc and wan_frac > 0:
             md = max(md, self.wan_ewma * fairness_scale)
-        md = min(md, cfg.max_md)
+        md = min(md, MAX_MD)
         if md > 0:
             sender.cwnd *= 1 - md
         if sender.cwnd < sender.mss:

@@ -13,57 +13,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim.packet import Packet
-from repro.transport.base import CongestionControl, Sender
+from repro.transport.base import Sender
+from repro.transport.epochs import Startup, WindowCC
+
+MD_PER_ACK_MSS = 0.5  # window cut per marked ACK, in MSS
 
 
 @dataclass(frozen=True)
 class MPRDMAConfig:
-    init_cwnd_pkts: int = 10            # floor on the initial window
-    init_cwnd_frac_of_bdp: float = 0.0  # optional BDP-proportional start
-    use_slow_start: bool = True         # double per RTT until first mark
-    max_cwnd_frac_of_bdp: float = 2.0
-    md_per_ack_mss: float = 0.5   # window cut per marked ACK, in MSS
-    min_cwnd_pkts: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.md_per_ack_mss <= 0:
-            raise ValueError("md_per_ack_mss must be positive")
+    startup: Startup = Startup()  # slow start until the first mark
 
 
-class MPRDMA(CongestionControl):
+class MPRDMA(WindowCC):
     """MPRDMA's per-ACK ECN AIMD loop."""
     def __init__(self, config: MPRDMAConfig = MPRDMAConfig()):
-        self.config = config
-        self._slow_start = False
-        self._max_cwnd = float("inf")
-
-    def on_init(self, sender: Sender) -> None:
-        sender.cwnd = float(
-            max(
-                self.config.init_cwnd_pkts * sender.mss,
-                self.config.init_cwnd_frac_of_bdp * sender.bdp_bytes,
-            )
-        )
-        self._slow_start = self.config.use_slow_start
-        self._max_cwnd = self.config.max_cwnd_frac_of_bdp * sender.bdp_bytes
+        super().__init__(config)
 
     def on_ack(self, sender: Sender, pkt: Packet, rtt_ps: int, ecn: bool) -> None:
         mss = sender.mss
         if ecn:
             self._slow_start = False
-            sender.cwnd -= self.config.md_per_ack_mss * mss
+            sender.cwnd -= MD_PER_ACK_MSS * mss
         elif self._slow_start:
-            sender.cwnd += pkt.payload
-            if sender.cwnd >= self._max_cwnd:
-                self._slow_start = False
+            self._slow_start_ack(sender, pkt.payload)
         else:
             sender.cwnd += mss * pkt.payload / sender.cwnd
         if sender.cwnd > self._max_cwnd:
             sender.cwnd = self._max_cwnd
-        floor = self.config.min_cwnd_pkts * mss
-        if sender.cwnd < floor:
-            sender.cwnd = floor
-
-    def on_timeout(self, sender: Sender) -> None:
-        self._slow_start = False
-        sender.cwnd = float(sender.mss)
+        if sender.cwnd < mss:
+            sender.cwnd = float(mss)

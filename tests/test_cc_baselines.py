@@ -1,7 +1,13 @@
-"""Behavioural tests for the baseline congestion controllers."""
+"""Behavioural tests for the baseline congestion controllers, and the
+start-up all window controllers (UnoCC included) share."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro.core.params import UnoParams
+from repro.core.uno import unocc_config
+from repro.core.unocc import UnoCC
 from repro.sim.engine import Simulator
 from repro.sim.packet import ACK, Packet
 from repro.sim.units import MIB, US
@@ -9,6 +15,7 @@ from repro.topology.simple import incast_star
 from repro.transport.base import start_flow
 from repro.transport.bbr import BBR, BBRConfig, PROBE_BW
 from repro.transport.dctcp import DCTCP, DCTCPConfig
+from repro.transport.epochs import Startup
 from repro.transport.gemini import Gemini, GeminiConfig
 from repro.transport.mprdma import MPRDMA, MPRDMAConfig
 
@@ -50,33 +57,6 @@ class TestDCTCPUnit:
         s = StubSender(sim)
         DCTCP().on_init(s)
         assert s.cwnd == 10 * s.mss
-
-    def test_slow_start_doubles_per_rtt(self):
-        sim = Simulator()
-        s = StubSender(sim)
-        cc = DCTCP()
-        cc.on_init(s)
-        before = s.cwnd
-        cc.on_ack(s, ack(payload=4096, sent_ps=-1), rtt_ps=14 * US, ecn=False)
-        assert s.cwnd == before + 4096  # exponential: += bytes acked
-
-    def test_slow_start_exits_on_mark(self):
-        sim = Simulator()
-        s = StubSender(sim)
-        cc = DCTCP()
-        cc.on_init(s)
-        cc.on_ack(s, ack(ecn=True, sent_ps=-1), rtt_ps=14 * US, ecn=True)
-        assert cc._slow_start is False
-
-    def test_slow_start_capped_at_max_window(self):
-        sim = Simulator()
-        s = StubSender(sim)
-        cc = DCTCP(DCTCPConfig(max_cwnd_frac_of_bdp=2.0))
-        cc.on_init(s)
-        for _ in range(500):
-            cc.on_ack(s, ack(payload=4096, sent_ps=-1), rtt_ps=14 * US,
-                      ecn=False)
-        assert s.cwnd <= 2 * s.bdp_bytes
 
     def test_unmarked_acks_grow_window(self):
         sim = Simulator()
@@ -133,25 +113,18 @@ class TestMPRDMAUnit:
 
     def test_unmarked_ack_ai(self):
         s = StubSender(Simulator())
-        cc = MPRDMA(MPRDMAConfig(use_slow_start=False))
+        cc = MPRDMA(MPRDMAConfig(startup=Startup(use_slow_start=False)))
         cc.on_init(s)
         before = s.cwnd
         cc.on_ack(s, ack(), rtt_ps=14 * US, ecn=False)
         assert s.cwnd == pytest.approx(before + s.mss * 4096 / before)
 
-    def test_slow_start_exits_on_mark(self):
+    def test_floor_one_mss(self):
         s = StubSender(Simulator())
         cc = MPRDMA()
         cc.on_init(s)
-        assert cc._slow_start
-        cc.on_ack(s, ack(ecn=True), rtt_ps=14 * US, ecn=True)
-        assert not cc._slow_start
-
-    def test_floor_one_mss(self):
-        s = StubSender(Simulator())
-        cc = MPRDMA(MPRDMAConfig(init_cwnd_pkts=1, init_cwnd_frac_of_bdp=0.0))
-        cc.on_init(s)
-        for _ in range(10):
+        # Ten packets at half an MSS per marked ACK: 18 marks reach the floor.
+        for _ in range(30):
             cc.on_ack(s, ack(ecn=True), rtt_ps=14 * US, ecn=True)
         assert s.cwnd == s.mss
 
@@ -220,6 +193,117 @@ class TestGeminiUnit:
         sim.now = 6000 * US
         cc.on_ack(s, ack(sent_ps=sim.now), rtt_ps=high_rtt, ecn=False)
         assert s.cwnd < before
+
+
+WINDOW_CCS = ("dctcp", "mprdma", "gemini", "unocc")
+
+
+def window_cc(kind, startup=Startup()):
+    """A fresh controller of ``kind`` starting per ``startup``."""
+    if kind == "dctcp":
+        return DCTCP(DCTCPConfig(startup=startup))
+    if kind == "mprdma":
+        return MPRDMA(MPRDMAConfig(startup=startup))
+    if kind == "gemini":
+        return Gemini(GeminiConfig(startup=startup), intra_bdp_bytes=175_000)
+    return UnoCC(replace(unocc_config(UnoParams()), startup=startup))
+
+
+# (acks, ends slow start) per controller; an ack is (ecn, extra delay,
+# closes its epoch). What ends slow start on congestion is each
+# controller's own rule.
+UNMARKED = (False, 0, False)
+MARKED = (True, 0, False)
+EXIT_RULES = {
+    "dctcp-no_signal": ("dctcp", False, [UNMARKED] * 3, False),
+    "dctcp-first_mark": ("dctcp", False, [MARKED], True),
+    "mprdma-no_signal": ("mprdma", False, [UNMARKED] * 3, False),
+    "mprdma-first_mark": ("mprdma", False, [MARKED], True),
+    "gemini-no_signal": ("gemini", True, [UNMARKED] * 3, False),
+    "gemini-first_mark": ("gemini", False, [MARKED], True),
+    # Inter-DC delay above 100 us ends slow start with no mark...
+    "gemini-inter_dc_delay": ("gemini", True, [(False, 101 * US, False)],
+                              True),
+    "gemini-inter_dc_delay_at_threshold": (
+        "gemini", True, [(False, 100 * US, False)], False),
+    # ...but delay is no WAN signal for an intra-DC flow.
+    "gemini-intra_dc_delay": ("gemini", False, [(False, 500 * US, False)],
+                              False),
+    "unocc-no_signal": ("unocc", False, [UNMARKED] * 3, False),
+    # UnoCC exits on an epoch with >= 50% marked ACKs, not on a mark.
+    "unocc-single_mark": ("unocc", False, [MARKED], False),
+    "unocc-minority_marked_epoch": (
+        "unocc", False, [UNMARKED, UNMARKED, (True, 0, True)], False),
+    "unocc-half_marked_epoch": ("unocc", False, [UNMARKED, (True, 0, True)],
+                                True),
+}
+
+
+class TestStartup:
+    """The start-up DCTCP, MPRDMA, Gemini and UnoCC share (WindowCC)."""
+
+    @staticmethod
+    def _start(kind, startup=Startup(), inter=False):
+        sim = Simulator()
+        s = StubSender(sim, base_rtt=2000 * US if inter else 14 * US)
+        s.is_inter_dc = inter
+        cc = window_cc(kind, startup)
+        cc.on_init(s)
+        return sim, s, cc
+
+    @pytest.mark.parametrize("kind", WINDOW_CCS)
+    @pytest.mark.parametrize("startup", [
+        Startup(),
+        Startup(init_cwnd_frac_of_bdp=1.0),
+        Startup(use_slow_start=False, init_cwnd_frac_of_bdp=0.5),
+    ], ids=["slow_start", "bdp_start", "warm_start"])
+    def test_initial_window(self, kind, startup):
+        _, s, cc = self._start(kind, startup)
+        assert s.cwnd == max(10 * s.mss,
+                             startup.init_cwnd_frac_of_bdp * s.bdp_bytes)
+        assert cc._slow_start is startup.use_slow_start
+        assert cc._max_cwnd == 2 * s.bdp_bytes
+
+    @pytest.mark.parametrize("kind", WINDOW_CCS)
+    def test_slow_start_ack_adds_payload(self, kind):
+        _, s, cc = self._start(kind)
+        before = s.cwnd
+        cc.on_ack(s, ack(payload=4096, sent_ps=-1), rtt_ps=14 * US, ecn=False)
+        assert s.cwnd == before + 4096  # exponential: += bytes acked
+        assert cc._slow_start
+
+    @pytest.mark.parametrize("kind", WINDOW_CCS)
+    def test_exits_at_cap_with_window_clamped(self, kind):
+        _, s, cc = self._start(kind)
+        acks = 0
+        while cc._slow_start and acks < 500:
+            cc.on_ack(s, ack(payload=4096, sent_ps=-1), rtt_ps=14 * US,
+                      ecn=False)
+            acks += 1
+        assert not cc._slow_start
+        assert s.cwnd == 2 * s.bdp_bytes
+        # 175,000-byte BDP: 10 packets plus 76 ACKs pass the 350,000 cap.
+        assert acks == 76
+
+    @pytest.mark.parametrize("kind", WINDOW_CCS)
+    def test_timeout_ends_slow_start(self, kind):
+        _, s, cc = self._start(kind)
+        before = s.cwnd
+        cc.on_timeout(s)
+        assert not cc._slow_start
+        # Gemini halves the window; the others restart from one MSS.
+        assert s.cwnd == (before / 2 if kind == "gemini" else s.mss)
+
+    @pytest.mark.parametrize("kind,inter,acks,exits",
+                             list(EXIT_RULES.values()),
+                             ids=list(EXIT_RULES))
+    def test_congestion_exit_rule(self, kind, inter, acks, exits):
+        sim, s, cc = self._start(kind, inter=inter)
+        for ecn, extra_delay_ps, closes in acks:
+            sim.now += 1 * US
+            pkt = ack(ecn=ecn, sent_ps=sim.now if closes else -1)
+            cc.on_ack(s, pkt, rtt_ps=s.base_rtt_ps + extra_delay_ps, ecn=ecn)
+        assert cc._slow_start is not exits
 
 
 class TestEndToEnd:

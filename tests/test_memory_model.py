@@ -579,6 +579,9 @@ unused = [
 ] + ["repro.workloads.allreduce", "repro.workloads.tracefile"]
 loaded = [m for m in unused if m in sys.modules]
 assert not loaded, loaded
+# fig13 loads PLB only for the cells that run it.
+import repro.experiments.fig13
+assert "repro.lb.plb" not in sys.modules
 
 # The same entry points load the rest on demand.
 gemini = run("gemini", 1)

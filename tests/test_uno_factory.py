@@ -15,6 +15,7 @@ from repro.lb.plb import PLB
 from repro.sim.engine import Simulator
 from repro.sim.units import MIB
 from repro.transport.base import FixedEntropy
+from repro.transport.epochs import Startup
 
 
 @pytest.fixture()
@@ -75,7 +76,8 @@ class TestComposition:
 
     def test_cc_override_is_the_senders_cc(self, setup):
         sim, params, topo = setup
-        warm = UnoCC(replace(unocc_config(params), use_slow_start=False))
+        warm = UnoCC(replace(unocc_config(params),
+                             startup=Startup(use_slow_start=False)))
         s = start_uno_flow(sim, topo.net, topo.host(0, 0), topo.host(1, 0),
                            MIB, params, cc=warm)
         assert s.cc is warm

@@ -10,13 +10,14 @@ from repro.sim.packet import ACK, Packet
 from repro.sim.units import MIB, MS, US
 from repro.topology.simple import incast_star
 from repro.transport.base import start_flow
+from repro.transport.epochs import Startup
 
 
 def config(**kw):
     # Unit tests exercise the steady-state AIMD machinery; slow start has
     # dedicated tests below.
     defaults = dict(k_bytes=25_000.0, epoch_period_ps=14 * US,
-                    use_slow_start=False)
+                    startup=Startup(use_slow_start=False))
     defaults.update(kw)
     return UnoCCConfig(**defaults)
 
@@ -261,7 +262,7 @@ class TestSlowStart:
     def test_doubles_and_survives_sporadic_marks(self):
         sim = Simulator()
         s = StubSender(sim)
-        cc = UnoCC(config(use_slow_start=True))
+        cc = UnoCC(config(startup=Startup()))
         cc.on_init(s)
         assert cc._slow_start
         before = s.cwnd
@@ -275,7 +276,7 @@ class TestSlowStart:
     def test_exits_on_majority_marked_epoch(self):
         sim = Simulator()
         s = StubSender(sim)
-        cc = UnoCC(config(use_slow_start=True))
+        cc = UnoCC(config(startup=Startup()))
         cc.on_init(s)
         sim.now = 100 * US
         # Epoch closes with 100% marked ACKs -> persistent congestion.
@@ -285,7 +286,7 @@ class TestSlowStart:
     def test_capped_at_two_bdp(self):
         sim = Simulator()
         s = StubSender(sim)
-        cc = UnoCC(config(use_slow_start=True))
+        cc = UnoCC(config(startup=Startup()))
         cc.on_init(s)
         for _ in range(200):
             cc.on_ack(s, ack(payload=4096, sent_ps=-1), rtt_ps=14 * US,
@@ -296,7 +297,7 @@ class TestSlowStart:
     def test_qa_inactive_during_slow_start(self):
         sim = Simulator()
         s = StubSender(sim)
-        cc = UnoCC(config(use_slow_start=True, beta=0.5))
+        cc = UnoCC(config(startup=Startup(), beta=0.5))
         cc.on_init(s)
         cc.on_ack(s, ack(sent_ps=-1), rtt_ps=14 * US, ecn=False)
         s.stats.bytes_acked = 4096
@@ -306,7 +307,7 @@ class TestSlowStart:
     def test_timeout_ends_slow_start(self):
         sim = Simulator()
         s = StubSender(sim)
-        cc = UnoCC(config(use_slow_start=True))
+        cc = UnoCC(config(startup=Startup()))
         cc.on_init(s)
         cc.on_timeout(s)
         assert not cc._slow_start
